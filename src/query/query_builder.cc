@@ -220,6 +220,14 @@ QueryBuilder& QueryBuilder::Aggregate(const std::vector<AggDecl>& aggs,
         Fail(idx.status());
         return *this;
       }
+      // Sum/Avg/Min/Max read the field as a number on every record; a
+      // string column would only fail there, mid-epoch.
+      if (current_schema_.field(idx.value()).type == ValueType::kString) {
+        Fail(Status::InvalidArgument(
+            std::string(stream::AggKindToString(a.kind)) +
+            " needs a numeric field: " + a.field));
+        return *this;
+      }
       spec.field = idx.value();
     }
     op.agg_specs.push_back(std::move(spec));

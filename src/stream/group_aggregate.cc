@@ -1,11 +1,50 @@
 #include "stream/group_aggregate.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 
+#include "common/logging.h"
 #include "ser/buffer.h"
 
 namespace jarvis::stream {
+
+namespace {
+
+/// Decodes the AppendKeyValue byte encoding ([u8 type][payload] per
+/// component) back into key column values, appending them to `keys`.
+Status DecodeEncodedKeys(std::string_view key, std::vector<Value>* keys) {
+  ser::BufferReader kr(reinterpret_cast<const uint8_t*>(key.data()),
+                       key.size());
+  while (!kr.AtEnd()) {
+    uint8_t type = 0;
+    JARVIS_RETURN_IF_ERROR(kr.GetU8(&type));
+    switch (static_cast<ValueType>(type)) {
+      case ValueType::kInt64: {
+        uint64_t v = 0;
+        JARVIS_RETURN_IF_ERROR(kr.GetU64(&v));
+        keys->emplace_back(static_cast<int64_t>(v));
+        break;
+      }
+      case ValueType::kDouble: {
+        double v = 0.0;
+        JARVIS_RETURN_IF_ERROR(kr.GetDouble(&v));
+        keys->emplace_back(v);
+        break;
+      }
+      case ValueType::kString: {
+        std::string v;
+        JARVIS_RETURN_IF_ERROR(kr.GetString(&v));
+        keys->emplace_back(std::move(v));
+        break;
+      }
+      default:
+        return Status::SerializationError("bad key type tag in checkpoint");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::string_view AggKindToString(AggKind kind) {
   switch (kind) {
@@ -104,23 +143,64 @@ void GroupAggregateOp::AppendKeyValue(const Value& v) {
   }
 }
 
-std::string_view GroupAggregateOp::EncodedKey() const {
-  return std::string_view(
-      reinterpret_cast<const char*>(key_buf_.data().data()), key_buf_.size());
+uint32_t GroupAggregateOp::GroupTable::FindOrInsert(std::string_view key) {
+  // The frame checksum doubles as the key hash: it mixes every byte through
+  // a full-avalanche finalizer, so its low bits index the slot array well.
+  const uint32_t hash = ser::FrameChecksum(
+      reinterpret_cast<const uint8_t*>(key.data()), key.size());
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.id == kEmpty) {
+      const auto id = static_cast<uint32_t>(size());
+      slot = {hash, id};
+      arena_.insert(arena_.end(), key.begin(), key.end());
+      key_offsets_.push_back(arena_.size());
+      accs_.resize(accs_.size() + naggs_);
+      if (2 * size() > slots_.size()) Rehash(2 * slots_.size());
+      return id;
+    }
+    if (slot.hash == hash && this->key(slot.id) == key) return slot.id;
+  }
 }
 
-template <typename MakeKeys>
-GroupAggregateOp::Group& GroupAggregateOp::FindOrCreateGroup(
-    GroupMap& groups, MakeKeys&& make_keys) {
-  const std::string_view key = EncodedKey();
-  auto it = groups.find(key);
-  if (it == groups.end()) {
-    it = groups.emplace(std::string(key), Group{}).first;
-    Group& g = it->second;
-    g.keys = make_keys();
-    g.accs.resize(aggs_.size());
+void GroupAggregateOp::GroupTable::Rehash(size_t capacity) {
+  std::vector<Slot> slots(capacity, Slot{0, kEmpty});
+  const size_t mask = capacity - 1;
+  for (const Slot& s : slots_) {
+    if (s.id == kEmpty) continue;
+    size_t i = s.hash & mask;
+    while (slots[i].id != kEmpty) i = (i + 1) & mask;
+    slots[i] = s;
   }
-  return it->second;
+  slots_.swap(slots);
+}
+
+std::vector<uint32_t> GroupAggregateOp::GroupTable::SortedIds() const {
+  std::vector<uint32_t> ids(size());
+  std::iota(ids.begin(), ids.end(), uint32_t{0});
+  // string_view compares bytes as unsigned char, shorter prefix first. This
+  // order is part of the result order and the checkpoint format.
+  std::sort(ids.begin(), ids.end(),
+            [this](uint32_t a, uint32_t b) { return key(a) < key(b); });
+  return ids;
+}
+
+void GroupAggregateOp::SeekWindow(Micros window_start, WindowCursor* cursor) {
+  if (cursor->groups != nullptr && cursor->window_start == window_start) {
+    return;
+  }
+  cursor->groups =
+      &windows_.try_emplace(window_start, aggs_.size()).first->second;
+  cursor->window_start = window_start;
+  MarkDirty(window_start);
+}
+
+GroupAggregateOp::Acc* GroupAggregateOp::CurrentGroup(
+    const WindowCursor& cursor) {
+  const std::string_view key(
+      reinterpret_cast<const char*>(key_buf_.data().data()), key_buf_.size());
+  return cursor.groups->accs(cursor.groups->FindOrInsert(key));
 }
 
 Status GroupAggregateOp::UpdateFromData(const Record& rec,
@@ -136,28 +216,17 @@ Status GroupAggregateOp::UpdateFromData(const Record& rec,
     }
     AppendKeyValue(rec.fields[k]);
   }
-  if (cursor->groups == nullptr || cursor->window_start != rec.window_start) {
-    // std::map nodes are stable, so the cached pointer survives inserts of
-    // other windows within the same batch.
-    cursor->groups = &windows_[rec.window_start];
-    cursor->window_start = rec.window_start;
-    MarkDirty(rec.window_start);
-  }
-  Group& g = FindOrCreateGroup(*cursor->groups, [&] {
-    std::vector<Value> keys;
-    keys.reserve(key_fields_.size());
-    for (size_t k : key_fields_) keys.push_back(rec.fields[k]);
-    return keys;
-  });
+  SeekWindow(rec.window_start, cursor);
+  Acc* accs = CurrentGroup(*cursor);
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     if (a.kind == AggKind::kCount) {
-      g.accs[i].AddValue(0.0);
+      accs[i].AddValue(0.0);
     } else {
       if (a.field >= rec.fields.size()) {
         return Status::OutOfRange("aggregate field index out of range");
       }
-      g.accs[i].AddValue(rec.AsDouble(a.field));
+      accs[i].AddValue(rec.AsDouble(a.field));
     }
   }
   return Status::OK();
@@ -174,21 +243,15 @@ Status GroupAggregateOp::MergeFromPartial(const Record& rec,
   }
   key_buf_.Clear();
   for (size_t k = 0; k < nk; ++k) AppendKeyValue(rec.fields[k]);
-  if (cursor->groups == nullptr || cursor->window_start != rec.window_start) {
-    cursor->groups = &windows_[rec.window_start];
-    cursor->window_start = rec.window_start;
-    MarkDirty(rec.window_start);
-  }
-  Group& g = FindOrCreateGroup(*cursor->groups, [&] {
-    return std::vector<Value>(rec.fields.begin(), rec.fields.begin() + nk);
-  });
+  SeekWindow(rec.window_start, cursor);
+  Acc* accs = CurrentGroup(*cursor);
   for (size_t i = 0; i < aggs_.size(); ++i) {
     Acc other;
     other.count = std::get<int64_t>(rec.fields[nk + 4 * i]);
     other.sum = std::get<double>(rec.fields[nk + 4 * i + 1]);
     other.min = std::get<double>(rec.fields[nk + 4 * i + 2]);
     other.max = std::get<double>(rec.fields[nk + 4 * i + 3]);
-    g.accs[i].Merge(other);
+    accs[i].Merge(other);
   }
   return Status::OK();
 }
@@ -222,31 +285,31 @@ Status GroupAggregateOp::DoProcessBatchInPlace(RecordBatch* batch) {
   return Status::OK();
 }
 
-void GroupAggregateOp::EmitWindow(Micros window_start, GroupMap& groups,
-                                  RecordBatch* out) {
+void GroupAggregateOp::EmitWindow(Micros window_start,
+                                  const GroupTable& groups, RecordBatch* out) {
   GrowForAppend(out, groups.size());
   const size_t arity =
       key_fields_.size() + aggs_.size() * (emit_partials_ ? 4 : 1);
-  for (auto& [key, group] : groups) {
+  for (uint32_t id : groups.SortedIds()) {
     Record r;
     r.event_time = window_start + window_width_;
     r.window_start = window_start;
-    // Every caller drops the window right after emission, so the key column
-    // moves out instead of copying.
-    r.fields = std::move(group.keys);
     r.fields.reserve(arity);
+    // Table keys were encoded by AppendKeyValue or validated on restore.
+    JARVIS_CHECK(DecodeEncodedKeys(groups.key(id), &r.fields).ok());
+    const Acc* accs = groups.accs(id);
     if (emit_partials_) {
       r.kind = RecordKind::kPartial;
-      for (const Acc& acc : group.accs) {
-        r.fields.emplace_back(acc.count);
-        r.fields.emplace_back(acc.sum);
-        r.fields.emplace_back(acc.min);
-        r.fields.emplace_back(acc.max);
+      for (size_t i = 0; i < aggs_.size(); ++i) {
+        r.fields.emplace_back(accs[i].count);
+        r.fields.emplace_back(accs[i].sum);
+        r.fields.emplace_back(accs[i].min);
+        r.fields.emplace_back(accs[i].max);
       }
     } else {
       r.kind = RecordKind::kData;
       for (size_t i = 0; i < aggs_.size(); ++i) {
-        r.fields.push_back(group.accs[i].Finalize(aggs_[i].kind));
+        r.fields.push_back(accs[i].Finalize(aggs_[i].kind));
       }
     }
     out->push_back(std::move(r));
@@ -287,18 +350,20 @@ Status GroupAggregateOp::ExportPartialState(RecordBatch* out) {
 
 void GroupAggregateOp::WriteWindowSection(ser::BufferWriter* w,
                                           Micros window_start,
-                                          const GroupMap& groups) {
+                                          const GroupTable& groups) {
   section_buf_.Clear();
   section_buf_.PutVarU64(groups.size());
-  for (const auto& [key, group] : groups) {
+  for (uint32_t id : groups.SortedIds()) {
+    const std::string_view key = groups.key(id);
     section_buf_.PutVarU64(key.size());
     section_buf_.PutBytes(reinterpret_cast<const uint8_t*>(key.data()),
                           key.size());
-    for (const Acc& acc : group.accs) {
-      section_buf_.PutVarI64(acc.count);
-      section_buf_.PutDouble(acc.sum);
-      section_buf_.PutDouble(acc.min);
-      section_buf_.PutDouble(acc.max);
+    const Acc* accs = groups.accs(id);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      section_buf_.PutVarI64(accs[i].count);
+      section_buf_.PutDouble(accs[i].sum);
+      section_buf_.PutDouble(accs[i].min);
+      section_buf_.PutDouble(accs[i].max);
     }
   }
   w->PutVarI64(window_start);
@@ -336,44 +401,6 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
   return Status::OK();
 }
 
-namespace {
-
-/// Decodes the AppendKeyValue byte encoding back into key column values
-/// ([u8 type][payload] per component).
-Status DecodeEncodedKeys(const uint8_t* data, size_t len,
-                         std::vector<Value>* keys) {
-  ser::BufferReader kr(data, len);
-  while (!kr.AtEnd()) {
-    uint8_t type = 0;
-    JARVIS_RETURN_IF_ERROR(kr.GetU8(&type));
-    switch (static_cast<ValueType>(type)) {
-      case ValueType::kInt64: {
-        uint64_t v = 0;
-        JARVIS_RETURN_IF_ERROR(kr.GetU64(&v));
-        keys->emplace_back(static_cast<int64_t>(v));
-        break;
-      }
-      case ValueType::kDouble: {
-        double v = 0.0;
-        JARVIS_RETURN_IF_ERROR(kr.GetDouble(&v));
-        keys->emplace_back(v);
-        break;
-      }
-      case ValueType::kString: {
-        std::string v;
-        JARVIS_RETURN_IF_ERROR(kr.GetString(&v));
-        keys->emplace_back(std::move(v));
-        break;
-      }
-      default:
-        return Status::SerializationError("bad key type tag in checkpoint");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
   uint64_t n_tombstones = 0;
   JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
@@ -386,6 +413,7 @@ Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
   }
   uint64_t n_sections = 0;
   JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_sections));
+  std::vector<Value> keys;  // decode scratch: validates each restored key
   for (uint64_t i = 0; i < n_sections; ++i) {
     int64_t start = 0;
     JARVIS_RETURN_IF_ERROR(r->GetVarI64(&start));
@@ -398,35 +426,38 @@ Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
     r->Advance(len);
     uint64_t n_groups = 0;
     JARVIS_RETURN_IF_ERROR(section.GetVarU64(&n_groups));
-    GroupMap groups;
+    GroupTable groups(aggs_.size());
     for (uint64_t gi = 0; gi < n_groups; ++gi) {
       uint64_t klen = 0;
       JARVIS_RETURN_IF_ERROR(section.GetVarU64(&klen));
       if (klen > section.remaining()) {
         return Status::SerializationError("group key overruns window section");
       }
-      std::string key(reinterpret_cast<const char*>(section.cursor()), klen);
+      const std::string_view key(
+          reinterpret_cast<const char*>(section.cursor()), klen);
       section.Advance(klen);
-      Group group;
-      JARVIS_RETURN_IF_ERROR(
-          DecodeEncodedKeys(reinterpret_cast<const uint8_t*>(key.data()),
-                            key.size(), &group.keys));
-      if (group.keys.size() != key_fields_.size()) {
+      keys.clear();
+      JARVIS_RETURN_IF_ERROR(DecodeEncodedKeys(key, &keys));
+      if (keys.size() != key_fields_.size()) {
         return Status::SerializationError("group key arity mismatch");
       }
-      group.accs.resize(aggs_.size());
-      for (Acc& acc : group.accs) {
-        JARVIS_RETURN_IF_ERROR(section.GetVarI64(&acc.count));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.sum));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.min));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.max));
+      const size_t before = groups.size();
+      Acc* accs = groups.accs(groups.FindOrInsert(key));
+      if (groups.size() == before) {
+        return Status::SerializationError(
+            "duplicate group key in window section");
       }
-      groups.emplace(std::move(key), std::move(group));
+      for (size_t i = 0; i < aggs_.size(); ++i) {
+        JARVIS_RETURN_IF_ERROR(section.GetVarI64(&accs[i].count));
+        JARVIS_RETURN_IF_ERROR(section.GetDouble(&accs[i].sum));
+        JARVIS_RETURN_IF_ERROR(section.GetDouble(&accs[i].min));
+        JARVIS_RETURN_IF_ERROR(section.GetDouble(&accs[i].max));
+      }
     }
     if (!section.AtEnd()) {
       return Status::SerializationError("trailing bytes in window section");
     }
-    windows_[start] = std::move(groups);
+    windows_.insert_or_assign(start, std::move(groups));
     dirty_windows_.erase(start);
     flushed_windows_.erase(start);
   }

@@ -5,7 +5,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ser/buffer.h"
@@ -51,7 +50,7 @@ class GroupAggregateOp : public Operator {
   Status ExportPartialState(RecordBatch* out) override;
 
   /// Checkpoint state API. Sections are keyed by window_start: a section
-  /// replaces that window's whole group map (min/max accumulators are not
+  /// replaces that window's whole group table (min/max accumulators are not
   /// arithmetically delta-able, so deltas work at window granularity);
   /// tombstones name windows flushed since the previous export. Delta
   /// tracking starts at the first export — before that, a delta degenerates
@@ -85,33 +84,68 @@ class GroupAggregateOp : public Operator {
     Value Finalize(AggKind kind) const;
   };
 
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<Acc> accs;  // one per AggSpec
-  };
+  /// One window's groups, stored flat: encoded keys packed back to back in
+  /// one byte arena, `naggs` accumulators per group in one vector, and an
+  /// open-addressing (linear probing) index of group ids. Creating a group
+  /// allocates nothing per group; a probe costs one hash plus usually one
+  /// key compare. Group ids follow creation order, so every reader that
+  /// emits or serializes walks SortedIds() instead: output never depends on
+  /// hash order.
+  class GroupTable {
+   public:
+    explicit GroupTable(size_t naggs)
+        : naggs_(naggs), slots_(kMinSlots, Slot{0, kEmpty}) {}
 
-  // window_start -> (encoded key -> group). std::map keeps window flush order
-  // deterministic; groups are emitted sorted by encoded key. The transparent
-  // comparator lets the hot path probe with a string_view over the reused
-  // key buffer, allocating only when a new group is created.
-  using GroupMap = std::map<std::string, Group, std::less<>>;
+    size_t size() const { return key_offsets_.size() - 1; }
+    std::string_view key(uint32_t id) const {
+      return std::string_view(arena_.data() + key_offsets_[id],
+                              key_offsets_[id + 1] - key_offsets_[id]);
+    }
+    Acc* accs(uint32_t id) { return accs_.data() + id * naggs_; }
+    const Acc* accs(uint32_t id) const { return accs_.data() + id * naggs_; }
+
+    /// Id of the group keyed `key`, created with empty accumulators when
+    /// absent (callers that care compare size() before and after).
+    uint32_t FindOrInsert(std::string_view key);
+    /// Group ids in ascending encoded-key order.
+    std::vector<uint32_t> SortedIds() const;
+
+   private:
+    struct Slot {
+      uint32_t hash;
+      uint32_t id;  // kEmpty when unused
+    };
+    static constexpr uint32_t kEmpty = ~uint32_t{0};
+    static constexpr size_t kMinSlots = 16;
+
+    void Rehash(size_t capacity);
+
+    size_t naggs_;
+    std::vector<char> arena_;
+    std::vector<size_t> key_offsets_{0};  // key i is [off[i], off[i+1])
+    std::vector<Acc> accs_;
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+  };
 
   /// Per-record cursor the batch path threads through consecutive records:
   /// the window map is looked up once per run of same-window records, not
   /// once per record.
   struct WindowCursor {
     Micros window_start = -1;
-    GroupMap* groups = nullptr;
+    GroupTable* groups = nullptr;
   };
 
   Status UpdateFromData(const Record& rec, WindowCursor* cursor);
   Status MergeFromPartial(const Record& rec, WindowCursor* cursor);
-  void EmitWindow(Micros window_start, GroupMap& groups, RecordBatch* out);
+  /// Points the cursor at `window_start`'s table, creating it if needed.
+  void SeekWindow(Micros window_start, WindowCursor* cursor);
+  void EmitWindow(Micros window_start, const GroupTable& groups,
+                  RecordBatch* out);
 
   /// Appends one window's section ([zigzag window_start][varint len][groups])
   /// to `w` via the reused section scratch buffer.
   void WriteWindowSection(ser::BufferWriter* w, Micros window_start,
-                          const GroupMap& groups);
+                          const GroupTable& groups);
   /// Records that `window_start`'s contents changed (delta bookkeeping).
   void MarkDirty(Micros window_start) {
     if (delta_tracking_) dirty_windows_.insert(window_start);
@@ -119,18 +153,18 @@ class GroupAggregateOp : public Operator {
 
   /// Appends one key component's binary encoding to key_buf_.
   void AppendKeyValue(const Value& v);
-  /// View of key_buf_'s contents as the map probe key.
-  std::string_view EncodedKey() const;
-  /// Finds or creates the group for the key currently in key_buf_;
-  /// `make_keys` materializes the key column values only on first touch.
-  template <typename MakeKeys>
-  Group& FindOrCreateGroup(GroupMap& groups, MakeKeys&& make_keys);
+  /// Accumulators of the group keyed by key_buf_'s contents in the cursor's
+  /// window, created on first touch.
+  Acc* CurrentGroup(const WindowCursor& cursor);
 
   std::vector<size_t> key_fields_;
   std::vector<AggSpec> aggs_;
   Micros window_width_;
   bool emit_partials_;
-  std::map<Micros, GroupMap> windows_;
+  // window_start -> groups. std::map keeps window flush order deterministic
+  // and its nodes stable, so a cursor's table pointer survives inserts of
+  // other windows.
+  std::map<Micros, GroupTable> windows_;
   ser::BufferWriter key_buf_;  // reused across records; never shrinks
 
   // Checkpoint delta bookkeeping, active only once ExportStateDelta has been

@@ -51,6 +51,26 @@ TEST(QueryBuilderTest, UnknownAggFieldFails) {
   EXPECT_FALSE(q.Build().ok());
 }
 
+TEST(QueryBuilderTest, NumericAggOverStringFieldFails) {
+  const Schema logs = Schema::Of({{"host", ValueType::kString},
+                                  {"msg", ValueType::kString},
+                                  {"bytes", ValueType::kInt64}});
+  for (const AggDecl& agg : {Avg("msg", "a"), Sum("msg", "s"),
+                             Min("msg", "lo"), Max("msg", "hi")}) {
+    QueryBuilder q(logs);
+    q.Window(Seconds(10)).GroupApply({"host"}).Aggregate({agg});
+    auto plan = q.Build();
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find("msg"), std::string::npos);
+  }
+  // Count ignores its field, and numeric fields (int64 widens) still build.
+  QueryBuilder ok(logs);
+  ok.Window(Seconds(10)).GroupApply({"host"}).Aggregate(
+      {Count("c"), Sum("bytes", "b"), Max("bytes", "m")});
+  EXPECT_TRUE(ok.Build().ok());
+}
+
 TEST(QueryBuilderTest, AggregateWithoutGroupApplyFails) {
   QueryBuilder q(ProbeSchema());
   q.Window(Seconds(10)).Aggregate({Count("c")});

@@ -18,6 +18,7 @@
 #include "core/source_executor.h"
 #include "ser/buffer.h"
 #include "stream/columnar.h"
+#include "stream/group_aggregate.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
 
@@ -256,6 +257,55 @@ TEST(SerCorruptionTest, CheckpointBitFlipsAreDetectedNeverUB) {
                              << " validated";
     }
   }
+}
+
+/// A window section that names one group key twice is corrupt: restore
+/// must refuse it rather than keep either copy or merge the two.
+TEST(SerCorruptionTest, GroupAggregateRestoreRejectsRepeatedGroupKey) {
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum"}};
+  auto make = [&] {
+    return GroupAggregateOp("g", KvSchema(), {0}, aggs, Seconds(10), false);
+  };
+  GroupAggregateOp op = make();
+  RecordBatch sink;
+  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, int64_t{5}, 2.0), &sink)
+                  .ok());
+  ser::BufferWriter good;
+  ASSERT_TRUE(op.ExportStateDelta(&good, StateExport::kFull).ok());
+
+  // Rebuild the keyframe with the one group written twice.
+  ser::BufferReader r(good.data());
+  uint64_t tombstones = 0, sections = 0, len = 0, groups = 0;
+  int64_t start = 0;
+  ASSERT_TRUE(r.GetVarU64(&tombstones).ok());
+  ASSERT_TRUE(r.GetVarU64(&sections).ok());
+  ASSERT_TRUE(r.GetVarI64(&start).ok());
+  ASSERT_TRUE(r.GetVarU64(&len).ok());
+  ser::BufferReader section(r.cursor(), len);
+  ASSERT_TRUE(section.GetVarU64(&groups).ok());
+  ASSERT_EQ(groups, 1u);
+  const std::vector<uint8_t> group(section.cursor(),
+                                   section.cursor() + section.remaining());
+  ser::BufferWriter twice;
+  twice.PutVarU64(2);
+  twice.PutBytes(group.data(), group.size());
+  twice.PutBytes(group.data(), group.size());
+  ser::BufferWriter bad;
+  bad.PutVarU64(tombstones);
+  bad.PutVarU64(sections);
+  bad.PutVarI64(start);
+  bad.PutVarU64(twice.size());
+  bad.PutBytes(twice.data().data(), twice.size());
+
+  GroupAggregateOp restored = make();
+  ser::BufferReader rb(bad.data());
+  EXPECT_EQ(restored.RestoreState(&rb).code(), StatusCode::kSerializationError);
+  EXPECT_EQ(restored.open_windows(), 0u);
+
+  // The untouched keyframe still restores.
+  ser::BufferReader rg(good.data());
+  EXPECT_TRUE(restored.RestoreState(&rg).ok());
+  EXPECT_EQ(restored.open_windows(), 1u);
 }
 
 /// Corruption of the SP's retained ring: PlanRestore re-verifies every
