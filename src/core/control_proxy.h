@@ -1,6 +1,7 @@
 #ifndef JARVIS_CORE_CONTROL_PROXY_H_
 #define JARVIS_CORE_CONTROL_PROXY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -9,6 +10,41 @@
 #include "stream/record.h"
 
 namespace jarvis::core {
+
+/// FIFO of records held as whole batches: an appended batch becomes one
+/// chunk, so a batch that passes a stage unsplit is handed on by moving its
+/// buffer, never record by record. Takes from the front swap out a whole
+/// chunk when the request covers exactly that chunk, and otherwise move
+/// records across chunk boundaries. A partially taken front chunk is
+/// re-packed into a right-sized buffer once more than half of it is
+/// consumed, so a standing backlog never pins more dead slots than it has
+/// live records.
+class BatchFifo {
+ public:
+  /// Pending records across all chunks.
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Appends `batch` as one chunk (an empty batch is ignored). Takes the
+  /// batch's buffer: the caller's vector is left empty with no capacity.
+  void Append(stream::RecordBatch&& batch);
+
+  /// Moves the oldest min(n, size()) records onto the end of `*out`, in
+  /// order. O(1) when `*out` is empty and `n` covers exactly an untouched
+  /// front chunk.
+  void TakeFront(size_t n, stream::RecordBatch* out);
+
+  /// Appends copies of all pending records to `*out`, oldest first, without
+  /// consuming them.
+  void CopyTo(stream::RecordBatch* out) const;
+
+  void Clear();
+
+ private:
+  std::deque<stream::RecordBatch> chunks_;
+  size_t head_ = 0;  // records already taken from chunks_.front()
+  size_t size_ = 0;
+};
 
 /// The light-weight routing element bridging two adjacent stream operators
 /// (Section IV-A). A proxy forwards a fraction `load_factor` of arriving
@@ -35,7 +71,10 @@ class ControlProxy {
 
   /// Routes a whole arriving batch with the same error-diffusion decision
   /// sequence as per-record Route(): forwarded records append to the local
-  /// queue, drained records append to `*drained`, both in arrival order.
+  /// queue, drained records append to `*drained`, both in arrival order. A
+  /// batch routed entirely one way moves as a whole — into the queue as one
+  /// chunk, or onto `*drained` with MoveAppend; only a mixed batch is split
+  /// record by record.
   void RouteBatch(stream::RecordBatch&& batch, stream::RecordBatch* drained);
 
   /// Computes the routing decision for the next `n` arrivals — the same
@@ -45,10 +84,11 @@ class ControlProxy {
   /// operator and the drain path without materializing rows.
   void RouteDecisions(size_t n, std::vector<uint8_t>* decisions);
 
-  /// The local queue of forwarded-but-unprocessed records. The executor pops
-  /// from it as CPU budget allows; what remains at epoch end is backpressure.
-  std::deque<stream::Record>& queue() { return queue_; }
-  const std::deque<stream::Record>& queue() const { return queue_; }
+  /// The local queue of forwarded-but-unprocessed records. The executor takes
+  /// from its front as CPU budget allows; what remains at epoch end is
+  /// backpressure.
+  BatchFifo& queue() { return queue_; }
+  const BatchFifo& queue() const { return queue_; }
 
   /// Marks `n` records as consumed by the local operator.
   void CountProcessed(uint64_t n) { processed_ += n; }
@@ -68,7 +108,7 @@ class ControlProxy {
   uint64_t forwarded_ = 0;
   uint64_t drained_ = 0;
   uint64_t processed_ = 0;
-  std::deque<stream::Record> queue_;
+  BatchFifo queue_;
 };
 
 }  // namespace jarvis::core

@@ -323,7 +323,7 @@ Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
   if (columnar_mode_) return ProcessStageColumnar(i, budget_left, spent, out);
   const double cost = cost_model_->CostPerRecord(i);
   ControlProxy& proxy = proxies_[i];
-  auto& queue = proxy.queue();
+  BatchFifo& queue = proxy.queue();
   // Count the affordable run with the same per-record budget arithmetic the
   // record-at-a-time loop used, so borderline epochs process identical
   // record counts; then run the whole chunk through the operator as one
@@ -336,16 +336,13 @@ Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
     ++n;
   }
   if (n == 0) return Status::OK();
-  // The affordable run is popped and processed as one batch. On an operator
-  // error the in-flight chunk (and its partial outputs) is dropped — but the
-  // whole epoch fails and its output is discarded in that case, exactly as
-  // with the old per-record loop, so nothing observable changes.
+  // The affordable run is taken and processed as one batch; when it is
+  // exactly the oldest queued batch, its buffer is handed over whole. On an
+  // operator error the in-flight run (and its partial outputs) is dropped —
+  // but the whole epoch fails and its output is discarded in that case,
+  // exactly as with the old per-record loop, so nothing observable changes.
   stage_input_.clear();
-  stage_input_.reserve(n);
-  for (size_t k = 0; k < n; ++k) {
-    stage_input_.push_back(std::move(queue.front()));
-    queue.pop_front();
-  }
+  queue.TakeFront(n, &stage_input_);
   stream::Operator& op = pipeline_->op(i);
   if (op.HasInPlaceBatch()) {
     JARVIS_RETURN_IF_ERROR(op.ProcessBatchInPlace(&stage_input_));
@@ -367,12 +364,12 @@ void SourceExecutor::DrainPendingStage(size_t i, SourceEpochOutput* out) {
     // i); only fallback rows in the queue materialize.
     DrainColumnarSplit(&col_queues_[i], i, i, out);
   }
-  ControlProxy& p = proxies_[i];
-  while (!p.queue().empty()) {
-    stream::Record rec = std::move(p.queue().front());
-    p.queue().pop_front();
-    Drain(i, std::move(rec), out);
-  }
+  BatchFifo& queue = proxies_[i].queue();
+  if (queue.empty()) return;
+  drained_scratch_.clear();
+  queue.TakeFront(queue.size(), &drained_scratch_);
+  DrainBatch(i, std::move(drained_scratch_), out);
+  drained_scratch_.clear();
 }
 
 Result<SourceEpochOutput> SourceExecutor::Checkpoint(Micros watermark) {
@@ -577,7 +574,7 @@ Status SourceExecutor::ExportCheckpointBody(ser::BufferWriter* w,
     // Pending row queue, snapshotted non-destructively. The empty schema
     // routes every record through the inline-tagged fallback section, which
     // round-trips any record losslessly.
-    rows.assign(proxies_[i].queue().begin(), proxies_[i].queue().end());
+    proxies_[i].queue().CopyTo(&rows);
     scratch.Clear();
     stream::SerializeBatch(rows, stream::Schema(), &scratch);
     w->PutVarU64(scratch.size());
@@ -650,9 +647,9 @@ Status SourceExecutor::RestoreCheckpointBody(ser::BufferReader* r) {
     if (!qr.AtEnd()) {
       return Status::SerializationError("trailing bytes in row queue");
     }
-    std::deque<stream::Record>& q = proxies_[i].queue();
-    q.clear();
-    for (stream::Record& rec : rows) q.push_back(std::move(rec));
+    BatchFifo& q = proxies_[i].queue();
+    q.Clear();
+    q.Append(std::move(rows));
     // Columnar queue replaces wholesale.
     JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
     if (len > r->remaining()) {
@@ -672,7 +669,7 @@ Status SourceExecutor::RestoreCheckpointBody(ser::BufferReader* r) {
     } else {
       // Plane mismatch cannot happen for a same-config rebuild, but a
       // checkpoint is still restorable: the rows just queue on the row lane.
-      for (stream::Record& rec : rows) q.push_back(std::move(rec));
+      q.Append(std::move(rows));
     }
     rows.clear();
     JARVIS_RETURN_IF_ERROR(pipeline_->op(i).RestoreState(r));

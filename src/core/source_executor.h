@@ -200,8 +200,9 @@ class SourceExecutor {
   /// row plane's, bit for bit. Leaves `batch` empty with its schema bound.
   void DrainColumnarSplit(stream::ColumnarBatch* batch, size_t data_entry,
                           size_t partial_entry, SourceEpochOutput* out);
-  /// Processes proxy `i`'s queue within the remaining budget, popping the
-  /// affordable run of records as one batch through the operator.
+  /// Processes proxy `i`'s queue within the remaining budget, taking the
+  /// affordable run of records off the queue's front as one batch through
+  /// the operator.
   Status ProcessStage(size_t i, double* budget_left, double* spent,
                       SourceEpochOutput* out);
   /// Columnar-plane ProcessStage: pops the affordable run off the stage's

@@ -76,9 +76,12 @@ void HashBytes(uint64_t* h, const uint8_t* p, size_t n) {
 
 /// Runs `epochs` fault-tolerant epochs of the 4-source pingmesh block under
 /// the given plan spec ("" = clean FT run) and returns the full fingerprint.
+/// `spec` is the whole plan: a JARVIS_FAULTS plan in the environment is
+/// pinned out, so a clean run stays clean under any chaos env.
 FaultRun RunWithPlan(const query::CompiledQuery& q, const std::string& spec,
                      int threads, int epochs,
                      FaultToleranceOptions opts = FaultToleranceOptions()) {
+  const jarvis::testing::ScopedEnv no_env_plan("JARVIS_FAULTS", nullptr);
   std::vector<BuildingBlock::SourceSpec> specs;
   for (uint64_t s = 1; s <= 4; ++s) specs.push_back(MakeSpec(s, 40));
   BuildingBlock block(q, std::move(specs), RuntimeConfig(), threads);
@@ -262,6 +265,10 @@ TEST(FaultInjectionTest, FlipDropDupRecoverBitExactly) {
 }
 
 TEST(FaultInjectionTest, CrashQuarantinesReplansAndReadmits) {
+  // Asserts the checkpoint-off recovery (survivor re-plan, watermark moving
+  // past the dead source); with checkpointing on the crash is restored and
+  // replayed instead, which checkpoint_recovery_test covers.
+  const jarvis::testing::ScopedEnv no_ckpt("JARVIS_CKPT_INTERVAL", nullptr);
   const query::CompiledQuery q = CompileS2S();
   FaultToleranceOptions opts;
   opts.readmit_after_epochs = 2;
@@ -316,6 +323,9 @@ TEST(FaultInjectionTest, StragglerIsSuspectedThenDeliversLate) {
 }
 
 TEST(FaultInjectionTest, ExhaustedRetransmitsQuarantineThenRecover) {
+  // Asserts loss in the poisoned epoch, which only checkpoint-off recovery
+  // has; pin checkpointing off whatever the environment says.
+  const jarvis::testing::ScopedEnv no_ckpt("JARVIS_CKPT_INTERVAL", nullptr);
   const query::CompiledQuery q = CompileS2S();
   FaultToleranceOptions opts;
   opts.max_retransmits = 2;
