@@ -18,22 +18,19 @@ BuildingBlock::BuildingBlock(const query::CompiledQuery& query,
     : runtime_config_(runtime_config),
       query_(query),
       threads_(ResolveThreads(threads)) {
-  // JARVIS_FAULTS switches every building block onto the fault-tolerant
-  // path with the scripted plan installed — the chaos CI legs run the whole
-  // suite this way without any test opting in.
+  // JARVIS_FAULTS installs a scripted fault plan in every building block —
+  // the chaos CI legs run the whole suite this way without any test opting
+  // in.
   auto injector = FaultInjector::FromEnv();
   if (!injector.ok()) {
     init_status_ = injector.status();
     return;
   }
-  if (*injector != nullptr) {
-    injector_ = std::move(*injector);
-    ft_.enabled = true;
-  }
+  if (*injector != nullptr) injector_ = std::move(*injector);
   // JARVIS_TRAFFIC layers a scripted traffic plan over every generator;
-  // JARVIS_OVERLOAD=1 arms the overload controller (and with it the FT
-  // path). Both reject malformed values loudly instead of running a benign
-  // shape the operator did not ask for.
+  // JARVIS_OVERLOAD=1 arms the overload controller. Both reject malformed
+  // values loudly instead of running a benign shape the operator did not ask
+  // for.
   auto shaper = TrafficShaper::FromEnv();
   if (!shaper.ok()) {
     init_status_ = shaper.status();
@@ -80,7 +77,6 @@ BuildingBlock::BuildingBlock(const query::CompiledQuery& query,
 
 void BuildingBlock::EnableOverloadControl(OverloadOptions opts) {
   overload_ = std::make_unique<OverloadController>(opts, state_.size());
-  ft_.enabled = true;
 }
 
 const OverloadStats& BuildingBlock::overload_stats() const {
@@ -96,7 +92,7 @@ stream::RecordBatch BuildingBlock::GenerateShaped(size_t s, Micros from,
                                                   Micros to) {
   stream::RecordBatch batch = state_[s].generate(from, to);
   if (shaper_) {
-    // Epoch index from event time, not the FT epoch counter: crash replay
+    // Epoch index from event time, not the epoch counter: crash replay
     // re-generates by interval and must reshape identically.
     shaper_->Shape(s, static_cast<int64_t>(from / epoch_length_), &batch);
   }
@@ -105,86 +101,6 @@ stream::RecordBatch BuildingBlock::GenerateShaped(size_t s, Micros from,
 
 BuildingBlock::~BuildingBlock() {
   if (pool_) pool_->Stop();
-}
-
-Status BuildingBlock::RunEpoch(stream::RecordBatch* results) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) return RunEpochFaultTolerant(results);
-  if (threads_ <= 1 || sources_.size() <= 1) return RunEpochSerial(results);
-  return RunEpochParallel(results);
-}
-
-Status BuildingBlock::RunEpochSerial(stream::RecordBatch* results) {
-  const Micros from = now_;
-  const Micros to = now_ + epoch_length_;
-  now_ = to;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
-    sources_[s]->Ingest(GenerateShaped(s, from, to));
-    JARVIS_ASSIGN_OR_RETURN(
-        SourceEpochOutput out,
-        sources_[s]->RunEpoch(to, state_[s].profile_next));
-    WireByteProfile wire_profile;
-    JARVIS_RETURN_IF_ERROR(RoundTripDrain(
-        s, &out, out.observation.profiles_valid ? &wire_profile : nullptr));
-    FoldWireRatios(wire_profile, 0, &out.observation);
-    const EpochObservation obs = out.observation;
-    if (tap_) tap_(s, out);
-    JARVIS_RETURN_IF_ERROR(sp_->Consume(s, std::move(out), results));
-    JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(obs);
-    sources_[s]->SetLoadFactors(d.load_factors);
-    if (d.flush_pending) sources_[s]->RequestFlush();
-    state_[s].profile_next = d.request_profile;
-  }
-  return sp_->EndEpoch(results);
-}
-
-void BuildingBlock::RunSourceEpoch(size_t s, Micros from, Micros to) {
-  // Everything here is owned by source s — its executor, generator, and
-  // runtime — except the Put into the sharded hand-off. The runtime decision
-  // deliberately runs after the hand-off: the SP can already be consuming
-  // this source's drain while its control loop deliberates.
-  sources_[s]->Ingest(GenerateShaped(s, from, to));
-  Result<SourceEpochOutput> out =
-      sources_[s]->RunEpoch(to, state_[s].profile_next);
-  if (!out.ok()) {
-    EpochEnvelope env;
-    env.status = out.status();
-    handoff_->Put(s, std::move(env));
-    return;
-  }
-  // Encode and decode the drain here, on the pool worker: this is the
-  // decode-worker half of the bytes path, running concurrently across
-  // sources before the single consuming thread takes over.
-  WireByteProfile wire_profile;
-  Status wire_st = RoundTripDrain(
-      s, &*out, out->observation.profiles_valid ? &wire_profile : nullptr);
-  if (!wire_st.ok()) {
-    EpochEnvelope env;
-    env.status = wire_st;
-    handoff_->Put(s, std::move(env));
-    return;
-  }
-  FoldWireRatios(wire_profile, 0, &out->observation);
-  const EpochObservation obs = out->observation;
-  EpochEnvelope env;
-  env.out = std::move(*out);
-  handoff_->Put(s, std::move(env));
-  JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(obs);
-  sources_[s]->SetLoadFactors(d.load_factors);
-  if (d.flush_pending) sources_[s]->RequestFlush();
-  state_[s].profile_next = d.request_profile;
-}
-
-Status BuildingBlock::RoundTripDrain(size_t s, SourceEpochOutput* out,
-                                     WireByteProfile* profile) {
-  // The default path ships bytes end to end: every chunk is encoded to the
-  // wire frame format (compressed when the codec says so) and decoded back,
-  // so what SpExecutor::Consume sees is exactly what a real wire would have
-  // carried. SerializeDrain consumes the chunks; DecodeDrain rebuilds them.
-  WireDrain wire =
-      SerializeDrain(out, &state_[s].next_seq, wire_codec_, profile);
-  return DecodeDrain(wire, &out->to_sp);
 }
 
 void BuildingBlock::FoldWireRatios(const WireByteProfile& profile,
@@ -223,131 +139,15 @@ void BuildingBlock::FoldWireRatios(const WireByteProfile& profile,
   }
 }
 
-Status BuildingBlock::RunEpochParallel(stream::RecordBatch* results) {
-  const Micros from = now_;
-  const Micros to = now_ + epoch_length_;
-  now_ = to;
-  if (!pool_) pool_ = std::make_unique<ExecPool>(threads_);
-  if (!handoff_) {
-    handoff_ = std::make_unique<ShardedHandoff<EpochEnvelope>>(
-        sources_.size());
-  }
-  handoff_->Reset(sources_.size());  // quiescent: pool idle between epochs
-
-  // Tiny-source batching: with thousands of near-empty sources the
-  // per-task dispatch cost dominates the epoch, so consecutive sources
-  // whose previous epoch stayed under the threshold share one pool task.
-  // Each member still runs its own RunSourceEpoch in ascending order and
-  // Puts its own envelope, so the hand-off contents — and therefore the
-  // consumed results — are bit-identical to one-task-per-source.
-  constexpr uint64_t kSmallSourceRecords = 1024;
-  constexpr size_t kMaxGroup = 32;
-  for (size_t s = 0; s < sources_.size();) {
-    if (!state_[s].alive) {
-      ++s;
-      continue;
-    }
-    size_t end = s;
-    size_t members = 0;
-    while (end < sources_.size() && members < kMaxGroup) {
-      if (!state_[end].alive) {
-        ++end;
-        continue;
-      }
-      if (state_[end].last_input_records >= kSmallSourceRecords) break;
-      ++end;
-      ++members;
-    }
-    if (members >= 2) {
-      pool_->Submit(s, [this, s, end, from, to] {
-        for (size_t x = s; x < end; ++x) {
-          if (state_[x].alive) RunSourceEpoch(x, from, to);
-        }
-      });
-      s = end;
-    } else {
-      pool_->Submit(s, [this, s, from, to] { RunSourceEpoch(s, from, to); });
-      ++s;
-    }
-  }
-
-  // Consume on this thread in ascending source order — the serial loop's
-  // merge order — overlapping with still-running sources. On a source
-  // error, keep taking the remaining envelopes (so no task blocks) but
-  // consume nothing further.
-  Status st;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
-    EpochEnvelope env = handoff_->Take(s);
-    if (!st.ok()) continue;
-    if (!env.status.ok()) {
-      st = env.status;
-      continue;
-    }
-    if (tap_) tap_(s, env.out);
-    state_[s].last_input_records = env.out.observation.input_records;
-    st = sp_->Consume(s, std::move(env.out), results);
-  }
-  // Epoch barrier: every source finished its pipeline AND its adaptation
-  // decision before the watermark advances or the next round begins.
-  pool_->WaitIdle();
-  JARVIS_RETURN_IF_ERROR(st);
-  return sp_->EndEpoch(results);
-}
-
-Result<size_t> BuildingBlock::CheckpointSource(size_t source_id,
-                                               stream::RecordBatch* results) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (source_id >= sources_.size()) {
-    return Status::OutOfRange("unknown source");
-  }
-  JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
-                          sources_[source_id]->Checkpoint(now_));
-  const size_t shipped = out.DrainedRecords();
-  JARVIS_RETURN_IF_ERROR(sp_->Consume(source_id, std::move(out), results));
-  return shipped;
-}
-
-Status BuildingBlock::FailSource(size_t source_id) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (source_id >= sources_.size()) {
-    return Status::OutOfRange("unknown source");
-  }
-  PerSource& ps = state_[source_id];
-  ps.alive = false;
-  if (ft_.enabled) {
-    // Permanent quarantine: an externally failed source never re-admits,
-    // and whatever it had in flight is gone with it.
-    ps.health = SourceHealth::kQuarantined;
-    ps.readmit_at = -1;
-    for (const Delivery& d : ps.inbox) {
-      stats_.records_lost += d.records - d.delivered;
-    }
-    ps.inbox.clear();
-    ps.retained.clear();
-    // A pending checkpoint recovery dies with the source: its replayable
-    // in-flight becomes genuine loss.
-    stats_.records_lost += ps.replay_outstanding;
-    ps.replay_outstanding = 0;
-    ps.ckpt_recover = false;
-    ps.trace.clear();
-  }
-  // Remove its watermark input so surviving sources' windows are not held
-  // open forever.
-  return sp_->RemoveSource(source_id);
-}
-
 Result<size_t> BuildingBlock::AddSource(SourceSpec spec) {
   JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) {
-    // Growing sources_/state_ reallocates vectors an in-flight epoch task
-    // still indexes into; only the barrier (all envelopes collected)
-    // guarantees quiescence on the fault-tolerant path.
-    for (const PerSource& ps : state_) {
-      if (ps.outstanding) {
-        return Status::FailedPrecondition(
-            "cannot add a source while an epoch task is still in flight");
-      }
+  // Growing sources_/state_ reallocates vectors an in-flight epoch task
+  // still indexes into; only the barrier (all envelopes collected)
+  // guarantees quiescence.
+  for (const PerSource& ps : state_) {
+    if (ps.outstanding) {
+      return Status::FailedPrecondition(
+          "cannot add a source while an epoch task is still in flight");
     }
   }
   PerSource ps;
@@ -369,45 +169,42 @@ Result<size_t> BuildingBlock::AddSource(SourceSpec spec) {
 
 Status BuildingBlock::Finish(stream::RecordBatch* results) {
   JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) {
-    // Land every straggling or stalled delivery before the final flush. A
-    // quarantined source's in-flight stays unconsumed (it is counted in
-    // records_in_flight, not lost — nothing forced its loss).
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      PerSource& ps = state_[s];
-      if (!ps.alive || ps.health == SourceHealth::kQuarantined) continue;
-      if (ps.outstanding) {
-        std::optional<EpochEnvelope> env = handoff_->TryTakeFor(
-            s,
-            std::chrono::milliseconds(std::max(1, ft_.take_deadline_ms) * 64));
-        if (!env.has_value()) continue;  // still wedged: give up on it
-        ps.outstanding = false;
-        JARVIS_RETURN_IF_ERROR(
-            ProcessEnvelope(s, ft_epoch_, std::move(*env), results));
-      }
-      JARVIS_RETURN_IF_ERROR(DeliverReleasable(
-          s, std::numeric_limits<int64_t>::max(), results));
+  // Land every straggling or stalled delivery before the final flush. A
+  // quarantined source's in-flight stays unconsumed (it is counted in
+  // records_in_flight, not lost — nothing forced its loss).
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    PerSource& ps = state_[s];
+    if (ps.health == SourceHealth::kQuarantined) continue;
+    if (ps.outstanding) {
+      std::optional<EpochEnvelope> env = handoff_->TryTakeFor(
+          s,
+          std::chrono::milliseconds(std::max(1, ft_.take_deadline_ms) * 64));
+      if (!env.has_value()) continue;  // still wedged: give up on it
+      ps.outstanding = false;
+      JARVIS_RETURN_IF_ERROR(
+          ProcessEnvelope(s, ft_epoch_, std::move(*env), results));
     }
-    for (const auto& [qs, keep] : pending_quarantine_) {
-      ApplyQuarantine(qs, ft_epoch_, keep);
-    }
-    pending_quarantine_.clear();
-    // End-of-run recovery: a source still waiting out its checkpoint
-    // re-admission backoff recovers now — the final flush must not close
-    // windows missing records that replay can still deliver.
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      PerSource& ps = state_[s];
-      if (!ps.alive || !ps.ckpt_recover) continue;
-      JARVIS_RETURN_IF_ERROR(RestoreAndReplay(s, ft_epoch_, results));
-      ps.health = SourceHealth::kHealthy;
-      ps.misses = 0;
-      ps.readmit_at = -1;
-      ++stats_.readmissions;
-    }
+    JARVIS_RETURN_IF_ERROR(DeliverReleasable(
+        s, std::numeric_limits<int64_t>::max(), results));
+  }
+  for (const auto& [qs, keep] : pending_quarantine_) {
+    ApplyQuarantine(qs, ft_epoch_, keep);
+  }
+  pending_quarantine_.clear();
+  // End-of-run recovery: a source still waiting out its checkpoint
+  // re-admission backoff recovers now — the final flush must not close
+  // windows missing records that replay can still deliver.
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    PerSource& ps = state_[s];
+    if (!ps.ckpt_recover) continue;
+    JARVIS_RETURN_IF_ERROR(RestoreAndReplay(s, ft_epoch_, results));
+    ps.health = SourceHealth::kHealthy;
+    ps.misses = 0;
+    ps.readmit_at = -1;
+    ++stats_.readmissions;
   }
   const Micros far = now_ + Seconds(3600);
   for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
     if (state_[s].health == SourceHealth::kQuarantined) continue;
     // Lift any standing ingress caps: the final flush must admit and drain
     // everything the throttle deferred — deferral is late, never lost.
@@ -421,12 +218,12 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant epoch path
+// Epoch loop
 // ---------------------------------------------------------------------------
 
-void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
-                                     Micros to, bool profile,
-                                     IngressDirective ing) {
+void BuildingBlock::RunSourceEpoch(size_t s, int64_t epoch, Micros from,
+                                   Micros to, bool profile,
+                                   IngressDirective ing) {
   EpochEnvelope env;
   env.epoch = epoch;
   if (injector_ && injector_->ShouldCrash(s, epoch)) {
@@ -450,6 +247,10 @@ void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
   if (ing.drain_cap != IngressDirective::kUnlimited) {
     env.shed_drain = ShedDrainChunks(ing.drain_cap, &*out, &env.chunks_shed);
   }
+  // The tap sees the drain as it leaves the source; SerializeDrain below
+  // consumes the chunks, so only a tapped block pays for the copy.
+  if (tap_) env.out = *out;
+  env.input_records = out->observation.input_records;
   env.watermark = out->watermark;
   env.records = out->DrainedRecords();
   env.shed = out->ingress_shed;
@@ -492,6 +293,7 @@ void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
   // epoch's profiles before the adaptation decision sees them: the LP's
   // bandwidth term prices the frames that actually ship.
   FoldWireRatios(wire_profile, env.ckpt_bytes, &out->observation);
+  if (tap_) env.out.observation = out->observation;
   // Degrade before dropping: overload pressure inflates the LP's bandwidth
   // price, so a profiling epoch under pressure re-plans toward the source
   // before (or while) the shedder fires.
@@ -508,10 +310,9 @@ void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
     env.late = injector_->StraggleEpochs(s, epoch);
     injector_->TamperTransmission(s, epoch, &env.wire);
   }
-  // The adaptation decision runs *before* the hand-off on this path:
-  // collecting the envelope then implies the task has nothing left to
-  // touch, which is what lets the detector skip the global barrier while a
-  // peer straggles.
+  // The adaptation decision runs *before* the hand-off: collecting the
+  // envelope then implies the task has nothing left to touch, which is what
+  // lets the detector skip the global barrier while a peer straggles.
   JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(out->observation);
   sources_[s]->SetLoadFactors(d.load_factors);
   if (d.flush_pending) sources_[s]->RequestFlush();
@@ -525,7 +326,8 @@ void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
   handoff_->Put(s, std::move(env));
 }
 
-Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
+Status BuildingBlock::RunEpoch(stream::RecordBatch* results) {
+  JARVIS_RETURN_IF_ERROR(init_status_);
   const Micros from = now_;
   const Micros to = now_ + epoch_length_;
   now_ = to;
@@ -544,30 +346,52 @@ Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
   const bool parallel = threads_ > 1 && sources_.size() > 1;
   if (parallel && !pool_) pool_ = std::make_unique<ExecPool>(threads_);
 
-  // Schedule every live, non-quarantined source with no epoch still in
-  // flight. A wedged source's slot is left untouched so its eventual Put
-  // lands; everyone else's slot is recycled per key (no quiescent Reset).
+  // Tiny-source batching: with thousands of near-empty sources the
+  // per-task dispatch cost dominates the epoch, so consecutive sources
+  // whose previous epoch stayed under the threshold share one pool task.
+  // Each member still runs its own RunSourceEpoch in ascending order and
+  // Puts its own envelope, so the hand-off contents — and therefore the
+  // consumed results — are bit-identical to one-task-per-source.
+  constexpr uint64_t kSmallSourceRecords = 1024;
+  constexpr size_t kMaxGroup = 32;
+  struct SourceTask {
+    size_t s;
+    bool profile;
+    IngressDirective ing;
+  };
+  std::vector<SourceTask> group;
+  auto submit = [&] {
+    if (group.empty()) return;
+    if (!parallel) {
+      for (const SourceTask& t : group) {
+        RunSourceEpoch(t.s, e, from, to, t.profile, t.ing);
+      }
+    } else {
+      const size_t key = group.front().s;
+      pool_->Submit(key, [this, tasks = std::move(group), e, from, to] {
+        for (const SourceTask& t : tasks) {
+          RunSourceEpoch(t.s, e, from, to, t.profile, t.ing);
+        }
+      });
+    }
+    group.clear();
+  };
+  // Schedule every non-quarantined source with no epoch still in flight. A
+  // wedged source's slot is left untouched so its eventual Put lands;
+  // everyone else's slot is recycled per key (no quiescent Reset).
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || ps.health == SourceHealth::kQuarantined ||
-        ps.outstanding) {
-      continue;
-    }
+    if (ps.health == SourceHealth::kQuarantined || ps.outstanding) continue;
     handoff_->ClearSlot(s);
     ps.outstanding = true;
-    const bool profile = ps.profile_next;
-    // The directive is captured here, on the consumer thread, at the same
-    // deterministic point profile_next is — the task never reads shared
-    // controller state.
-    const IngressDirective ing = ps.ingress_next;
-    if (parallel) {
-      pool_->Submit(s, [this, s, e, from, to, profile, ing] {
-        RunSourceEpochFT(s, e, from, to, profile, ing);
-      });
-    } else {
-      RunSourceEpochFT(s, e, from, to, profile, ing);
-    }
+    const bool small = ps.last_input_records < kSmallSourceRecords;
+    if (!small) submit();
+    // The profile flag and the overload directive are captured here, on the
+    // consumer thread — the task never reads shared controller state.
+    group.push_back({s, ps.profile_next, ps.ingress_next});
+    if (!small || group.size() >= kMaxGroup) submit();
   }
+  submit();
 
   // Collect in ascending source order — the stable merge order. With a
   // wall-clock deadline configured, a missed Take is a straggler signal,
@@ -594,7 +418,7 @@ Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
     if (!st.ok()) continue;
     st = ProcessEnvelope(s, e, std::move(*env), results);
   }
-  // The epoch barrier runs only when every envelope was collected; the FT
+  // The epoch barrier runs only when every envelope was collected; the
   // tasks made all their side effects before the hand-off, so a collected
   // envelope means its task is effectively done and only a straggler's own
   // task can still be running when the barrier is skipped.
@@ -625,7 +449,7 @@ void BuildingBlock::TickOverload(int64_t e) {
   bool escalated = false;
   for (size_t s = 0; s < state_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || ps.outstanding) continue;
+    if (ps.outstanding) continue;
     if (ps.health == SourceHealth::kQuarantined) continue;
     const IngressDirective dir = overload_->Tick(s, ps.sample);
     if (overload_->EscalatedLastTick()) escalated = true;
@@ -644,7 +468,7 @@ void BuildingBlock::TickOverload(int64_t e) {
   // needed. Same survivor rule as the quarantine replan.
   bool any = false;
   for (size_t x = 0; x < state_.size(); ++x) {
-    if (!state_[x].alive || state_[x].outstanding) continue;
+    if (state_[x].outstanding) continue;
     if (state_[x].health == SourceHealth::kQuarantined) continue;
     runtimes_[x]->TriggerReplan();
     state_[x].profile_next = true;
@@ -667,6 +491,8 @@ Status BuildingBlock::ProcessEnvelope(size_t s, int64_t e,
   }
   // A genuine pipeline error is a bug, not an injected fault — propagate.
   JARVIS_RETURN_IF_ERROR(env.status);
+  if (tap_) tap_(s, env.out);
+  ps.last_input_records = env.input_records;
   ps.profile_next = env.profile_next;
   stats_.frames_sent += env.wire.frame_count;
   stats_.records_sent += env.records;
@@ -958,7 +784,7 @@ void BuildingBlock::ApplyQuarantine(size_t s, int64_t e, bool keep_inflight) {
   // bit-identical to a run without the fault.
   bool any_survivor = false;
   for (size_t x = 0; x < state_.size(); ++x) {
-    if (x == s || !state_[x].alive || state_[x].outstanding) continue;
+    if (x == s || state_[x].outstanding) continue;
     if (state_[x].health == SourceHealth::kQuarantined) continue;
     runtimes_[x]->TriggerReplan();
     state_[x].profile_next = true;
@@ -970,7 +796,7 @@ void BuildingBlock::ApplyQuarantine(size_t s, int64_t e, bool keep_inflight) {
 Status BuildingBlock::MaybeReadmit(int64_t e, stream::RecordBatch* results) {
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (ps.health != SourceHealth::kQuarantined || !ps.alive) continue;
+    if (ps.health != SourceHealth::kQuarantined) continue;
     if (ps.readmit_at < 0 || e < ps.readmit_at) continue;
     std::optional<EpochEnvelope> stale;
     if (ps.outstanding) {

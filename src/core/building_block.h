@@ -30,12 +30,9 @@ enum class SourceHealth : uint8_t {
   kQuarantined = 2,
 };
 
-/// Knobs of the fault-tolerant epoch runtime (all detection and recovery is
-/// driven by these; nothing is wall-clock-random).
+/// Knobs of the epoch runtime's failure handling (all detection and recovery
+/// is driven by these; nothing is wall-clock-random).
 struct FaultToleranceOptions {
-  /// Master switch: set by EnableFaultTolerance/SetFaultPlan or implicitly
-  /// by the JARVIS_FAULTS environment variable.
-  bool enabled = false;
   /// Retransmission bound per delivery: a frame that cannot be delivered
   /// within this many NACK rounds quarantines its source.
   int max_retransmits = 3;
@@ -79,7 +76,8 @@ struct FaultToleranceOptions {
   bool double_readmit_backoff = true;
 };
 
-/// Counters of everything the fault-tolerant runtime detected and did.
+/// Counters of everything the epoch runtime's delivery and recovery
+/// machinery detected and did.
 /// Deterministic under scripted fault plans: part of the recovery
 /// fingerprint the chaos tests compare across thread counts.
 struct FaultStats {
@@ -128,17 +126,23 @@ struct FaultStats {
 /// object the query manager creates per query; examples and tests use it to
 /// avoid hand-wiring the epoch loop.
 ///
-/// Threading model: with `threads` == 1 every epoch runs the serial
-/// reference loop. With `threads` > 1 the sources run on an ExecPool — each
-/// source's generate + stage pipeline + drain is one task on its per-source
-/// queue — and hand their epoch outputs to the stream processor through a
-/// mutex-sharded channel. The SP consumes them on the caller's thread in
-/// ascending source order (the stable merge order), and one idle barrier per
-/// epoch keeps the adaptation round's boundary consistent. Because every
-/// source is deterministic in isolation (own generator, own RNG, own
-/// runtime) and the merge order is fixed, the multithreaded epoch is
-/// bit-identical to the serial loop — results, stats, observations, and
-/// wire bytes; the cross-thread equivalence fuzz suite asserts exactly this.
+/// Every epoch runs one loop. Each source's task generates, ingests, runs
+/// its stage pipeline, serializes the drain to checksummed, sequenced wire
+/// frames, makes its adaptation decision and hands an envelope to the
+/// stream processor through a mutex-sharded channel. The SP takes the
+/// envelopes on the caller's thread in ascending source order (the stable
+/// merge order), verifies, decodes and acks every frame, and answers gaps
+/// and corrupt frames with bounded retransmission; the failure detector
+/// quarantines crashed or exhausted sources instead of wedging the barrier.
+///
+/// Threading model: with `threads` == 1 the source tasks run inline on the
+/// caller's thread. With `threads` > 1 they run on an ExecPool, one task per
+/// source (near-empty sources share one) on its per-source queue, and one
+/// idle barrier per epoch keeps the adaptation round's boundary consistent.
+/// Because every source is deterministic in isolation (own generator, own
+/// RNG, own runtime) and the merge order is fixed, any thread count gives
+/// bit-identical results, stats, observations, and wire bytes; the
+/// cross-thread equivalence fuzz suite asserts exactly this.
 class BuildingBlock {
  public:
   struct SourceSpec {
@@ -152,8 +156,8 @@ class BuildingBlock {
   };
 
   /// `threads` < 0 (default) reads the JARVIS_THREADS environment variable
-  /// (unset -> 1, the serial loop; 0 -> all hardware threads); >= 0 is
-  /// explicit with the same convention.
+  /// (unset -> 1, source tasks run inline; 0 -> all hardware threads);
+  /// >= 0 is explicit with the same convention.
   BuildingBlock(const query::CompiledQuery& query,
                 std::vector<SourceSpec> sources,
                 RuntimeConfig runtime_config = RuntimeConfig(),
@@ -167,18 +171,6 @@ class BuildingBlock {
   /// windows' results are appended to `results`.
   Status RunEpoch(stream::RecordBatch* results);
 
-  /// Checkpoints one source (Section IV-E fault tolerance): its accumulated
-  /// operator state and pending records travel the drain path to the stream
-  /// processor, which can then finalize current windows even if the source
-  /// subsequently fails. Returns the number of records shipped.
-  Result<size_t> CheckpointSource(size_t source_id,
-                                  stream::RecordBatch* results);
-
-  /// Simulates a data-source failure: the source stops contributing records
-  /// and its watermark is released so the stream processor can keep making
-  /// progress for the surviving sources.
-  Status FailSource(size_t source_id);
-
   /// Adds a source mid-run (churn). It participates from the next epoch;
   /// until its first epoch output lands, the merged watermark holds — the
   /// same one-epoch stall any newly reporting input causes. Returns the new
@@ -188,50 +180,47 @@ class BuildingBlock {
   /// End-of-run flush of all remaining state.
   Status Finish(stream::RecordBatch* results);
 
-  /// Test/diagnostic tap: called once per source per epoch with the epoch
-  /// output, on the consuming thread, immediately before the SP consumes it
-  /// (so calls are ordered by source id regardless of thread count). The
-  /// cross-thread equivalence suite uses this to compare drains, stats, and
-  /// observations across thread counts.
+  /// Test/diagnostic tap: called once per collected source epoch with the
+  /// epoch output — its drain chunks as they left the source and its
+  /// observation after the measured wire ratios were folded in — on the
+  /// consuming thread, before the SP consumes the epoch's frames (so calls
+  /// are ordered by source id regardless of thread count). A crashed epoch
+  /// has no output and is not tapped. The cross-thread equivalence suite
+  /// uses this to compare drains, stats, and observations across thread
+  /// counts. Setting a tap costs one copy of every epoch output.
   using EpochTap =
       std::function<void(size_t source_id, const SourceEpochOutput& out)>;
   void SetEpochTap(EpochTap tap) { tap_ = std::move(tap); }
 
-  /// Switches RunEpoch onto the fault-tolerant path: drains travel the
-  /// checksummed wire format, the SP verifies and acks every frame, sources
-  /// retain serialized epochs for retransmission, and the failure detector
-  /// quarantines crashed/exhausted sources instead of wedging the epoch
-  /// barrier. Call before the first epoch.
-  void EnableFaultTolerance(FaultToleranceOptions opts) {
-    ft_ = opts;
-    ft_.enabled = true;
-  }
+  /// Replaces the failure-handling options (retransmit budget, detector
+  /// thresholds, re-admission, checkpointing). It only sets the options:
+  /// framed, acked delivery and the failure detector are always on. Call
+  /// before the first epoch.
+  void EnableFaultTolerance(FaultToleranceOptions opts) { ft_ = opts; }
 
-  /// Installs a scripted fault plan and enables fault tolerance. The
-  /// constructor installs one automatically when JARVIS_FAULTS is set.
+  /// Installs a scripted fault plan. The constructor installs one
+  /// automatically when JARVIS_FAULTS is set.
   void SetFaultPlan(FaultPlan plan) {
     injector_ = std::make_unique<FaultInjector>(std::move(plan));
-    ft_.enabled = true;
   }
 
   const FaultToleranceOptions& fault_tolerance() const { return ft_; }
   const FaultStats& fault_stats() const { return stats_; }
   SourceHealth health(size_t i) const { return state_[i].health; }
 
-  /// Switches the overload controller on (and with it the fault-tolerant
-  /// epoch path it rides on). Each epoch the controller samples per-source
-  /// pressure — offered load, deferred backlog, modeled SP inflow backlog —
-  /// and walks the escalation ladder steady -> throttled -> shedding ->
-  /// quarantined; directives apply from the *next* epoch, on the source's
-  /// own task, so threads 1 and 4 stay bit-identical. Call before the first
-  /// epoch. The constructor enables it automatically when JARVIS_OVERLOAD
-  /// is set.
+  /// Switches the overload controller on. Each epoch the controller samples
+  /// per-source pressure — offered load, deferred backlog, modeled SP inflow
+  /// backlog — and walks the escalation ladder steady -> throttled ->
+  /// shedding -> quarantined; directives apply from the *next* epoch, on the
+  /// source's own task, so threads 1 and 4 stay bit-identical. Call before
+  /// the first epoch. The constructor enables it automatically when
+  /// JARVIS_OVERLOAD is set.
   void EnableOverloadControl(OverloadOptions opts);
 
   /// Installs a scripted traffic plan (diurnal ramps, flash bursts, key-skew
   /// flips, leave churn) that reshapes every source's generated batches
   /// deterministically. The constructor installs one automatically when
-  /// JARVIS_TRAFFIC is set. Works on every epoch path, FT or not.
+  /// JARVIS_TRAFFIC is set.
   void SetTrafficPlan(TrafficPlan plan) {
     shaper_ = std::make_unique<TrafficShaper>(std::move(plan));
   }
@@ -250,7 +239,8 @@ class BuildingBlock {
   /// Records queued for delivery but not yet consumed by the SP (straggling
   /// or stalled epochs, quarantine-held inboxes). Conservation invariant the
   /// chaos tests assert after the recovery fence:
-  ///   records_sent == records_delivered + records_lost + records_in_flight.
+  ///   records_sent == records_delivered + records_lost + records_shed
+  ///                   + records_in_flight.
   uint64_t records_in_flight() const;
 
   /// Diagnostic tap over every wire frame the SP accepted (verification and
@@ -311,8 +301,7 @@ class BuildingBlock {
     std::shared_ptr<const CostModel> cost_model;
     SourceExecutorOptions options;
     bool profile_next = false;
-    bool alive = true;
-    // --- fault-tolerant runtime state (consumer thread only, except
+    // --- delivery and recovery state (consumer thread only, except
     // next_seq which the source's own serial task increments) ---
     SourceHealth health = SourceHealth::kHealthy;
     int misses = 0;            ///< consecutive missed/late epochs
@@ -361,12 +350,14 @@ class BuildingBlock {
 
   struct EpochEnvelope {
     Status status;
-    SourceEpochOutput out;  // non-FT path payload
-    // --- FT path payload (the drain travels as wire frames instead) ---
+    /// Copy of the epoch output for the epoch tap; empty unless a tap is set
+    /// (the drain itself travels as wire frames).
+    SourceEpochOutput out;
     bool crashed = false;      ///< scripted crash: task died, no output
     int late = 0;              ///< scripted straggle: epochs of lateness
     WireDrain wire;            ///< possibly tampered in-flight copy
     std::vector<WireFrame> pristine;  ///< clean copies for retransmission
+    uint64_t input_records = 0;  ///< for the tiny-source batching heuristic
     Micros watermark = -1;
     uint64_t records = 0;
     bool profile_next = false;  ///< the decision, made before the hand-off
@@ -385,22 +376,6 @@ class BuildingBlock {
     PressureSample sample;     ///< pressure signals for the controller
   };
 
-  /// One source's epoch: generate, ingest, run the stage pipeline, hand the
-  /// output to the SP channel, then apply the runtime's decision. Everything
-  /// it touches is owned by source `s` except the hand-off.
-  void RunSourceEpoch(size_t s, Micros from, Micros to);
-
-  /// Bytes end to end on the default (non-FT) path: serializes the epoch's
-  /// drain chunks to wire frames with the configured codec and decodes the
-  /// frames back into `out`'s chunks, so the SP consumes exactly what the
-  /// wire carried. Runs on the source's epoch task — when threads > 1 the
-  /// pool workers double as decode workers, overlapping frame decode and
-  /// columnar decompression across sources while the SP consumes in
-  /// ascending source order. When `profile` is non-null the measured
-  /// modeled-vs-wire byte totals are accumulated (profiling epochs only).
-  Status RoundTripDrain(size_t s, SourceEpochOutput* out,
-                        WireByteProfile* profile);
-
   /// Folds one profiling epoch's measured wire bytes into the observation's
   /// operator profiles as wire_ratio multipliers — per-entry measured ratios
   /// where the entry shipped bytes, the drain-wide ratio elsewhere, all
@@ -409,18 +384,15 @@ class BuildingBlock {
   static void FoldWireRatios(const WireByteProfile& profile,
                              uint64_t ckpt_bytes, EpochObservation* obs);
 
-  Status RunEpochSerial(stream::RecordBatch* results);
-  Status RunEpochParallel(stream::RecordBatch* results);
-
-  // --- fault-tolerant epoch path ---
-  Status RunEpochFaultTolerant(stream::RecordBatch* results);
-  /// FT variant of RunSourceEpoch: serializes the drain to wire frames,
-  /// applies scripted transmission faults, and — unlike the non-FT path —
-  /// runs the adaptation decision *before* the hand-off, so a collected
-  /// envelope means the task has nothing left to touch and the detector may
-  /// skip the global barrier while a peer straggles.
-  void RunSourceEpochFT(size_t s, int64_t epoch, Micros from, Micros to,
-                        bool profile, IngressDirective ing);
+  /// One source's epoch: generate, ingest, run the stage pipeline, serialize
+  /// the drain to wire frames (plus the checkpoint frame at interval
+  /// barriers), apply scripted transmission faults, and run the adaptation
+  /// decision *before* the hand-off, so a collected envelope means the task
+  /// has nothing left to touch and the detector may skip the global barrier
+  /// while a peer straggles. Everything it touches is owned by source `s`
+  /// except the hand-off.
+  void RunSourceEpoch(size_t s, int64_t epoch, Micros from, Micros to,
+                      bool profile, IngressDirective ing);
   /// Books a collected envelope: retains pristine frames, queues the
   /// delivery, updates the failure detector, and delivers what is releasable.
   Status ProcessEnvelope(size_t s, int64_t epoch, EpochEnvelope&& env,
@@ -486,12 +458,12 @@ class BuildingBlock {
   int threads_ = 1;
   EpochTap tap_;
   // The executor kernel, created on first parallel epoch and kept across
-  // epochs; the sharded hand-off carries each source's epoch output (status
-  // + drain chunks) to the consuming thread.
+  // epochs; the sharded hand-off carries each source's epoch envelope (status
+  // + wire frames) to the consuming thread.
   std::unique_ptr<ExecPool> pool_;
   std::unique_ptr<ShardedHandoff<EpochEnvelope>> handoff_;
 
-  // --- fault-tolerant runtime ---
+  // --- delivery and recovery ---
   FaultToleranceOptions ft_;
   FaultStats stats_;
   std::unique_ptr<FaultInjector> injector_;

@@ -212,14 +212,14 @@ Result<std::pair<const uint8_t*, size_t>> FramePayload(
 }
 
 Status DecodeFramePayload(const WireFrame& frame, const WireFrameHeader& hdr,
-                          stream::RecordBatch* rows) {
+                          stream::RecordBatch* rows,
+                          std::vector<uint8_t>* scratch) {
   rows->clear();
   if (hdr.lane == WireLane::kCheckpoint) {
     return Status::SerializationError(
         "checkpoint frames carry no record payload");
   }
-  std::vector<uint8_t> scratch;
-  JARVIS_ASSIGN_OR_RETURN(auto payload, FramePayload(frame, hdr, &scratch));
+  JARVIS_ASSIGN_OR_RETURN(auto payload, FramePayload(frame, hdr, scratch));
   ser::BufferReader r(payload.first, payload.second);
   if (hdr.lane == WireLane::kColumnar) {
     JARVIS_RETURN_IF_ERROR(stream::DeserializeColumnar(&r, rows));

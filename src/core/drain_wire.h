@@ -143,9 +143,12 @@ Result<std::pair<const uint8_t*, size_t>> FramePayload(
 
 /// Decodes the frame payload into row records. The payload formats carry
 /// their own checksums, so corruption surfaces as SerializationError, never
-/// as UB or silently wrong records.
+/// as UB or silently wrong records. `scratch` holds a compressed payload's
+/// decompressed bytes; reusing it across frames keeps the consumer from
+/// allocating (and zero-filling) a fresh buffer per frame.
 Status DecodeFramePayload(const WireFrame& frame, const WireFrameHeader& hdr,
-                          stream::RecordBatch* rows);
+                          stream::RecordBatch* rows,
+                          std::vector<uint8_t>* scratch);
 
 /// Decodes one data frame back into a DrainChunk: columnar-lane payloads
 /// deserialize straight to column form (DeserializeColumnarBatch — the bulk

@@ -196,7 +196,7 @@ class BoundedQueue {
 /// Mutex-sharded per-key hand-off of epoch outputs into the SP consumer: a
 /// producer Puts its key's value once per round, and the consumer Takes keys
 /// in a fixed order — the stable merge order that makes the multithreaded
-/// epoch bit-identical to the serial loop. Keys hash across independent
+/// epoch bit-identical to threads=1. Keys hash across independent
 /// mutex shards so unrelated sources never contend.
 template <typename T>
 class ShardedHandoff {
@@ -205,14 +205,13 @@ class ShardedHandoff {
       : shards_(num_shards ? num_shards : 1), slots_(num_keys) {}
 
   /// Resets every slot to empty and resizes for the next round. Call only
-  /// while quiescent (no concurrent Put/Take) — in the epoch loop that is
-  /// anywhere between the idle barrier and the next round's submissions.
+  /// while quiescent (no concurrent Put/Take).
   void Reset(size_t num_keys) { slots_.assign(num_keys, std::nullopt); }
 
-  /// Empties one slot under its shard lock. The fault-tolerant epoch loop
-  /// uses this instead of the quiescent Reset: when a straggler's Put may
-  /// still be in flight for *its* slot, the other slots can still be
-  /// recycled safely one key at a time.
+  /// Empties one slot under its shard lock. The epoch loop uses this
+  /// instead of the quiescent Reset: when a straggler's Put may still be in
+  /// flight for *its* slot, the other slots can still be recycled safely
+  /// one key at a time.
   void ClearSlot(size_t key) {
     Shard& shard = ShardOf(key);
     std::lock_guard<std::mutex> lk(shard.mu);

@@ -122,7 +122,8 @@ Result<FrameDisposition> SpExecutor::ConsumeFrame(
     return FrameDisposition::kDelivered;
   }
   entry_batch_.clear();
-  if (!DecodeFramePayload(frame, *hdr, &entry_batch_).ok()) {
+  if (!DecodeFramePayload(frame, *hdr, &entry_batch_, &payload_scratch_)
+           .ok()) {
     return FrameDisposition::kCorrupt;
   }
   JARVIS_RETURN_IF_ERROR(pipeline_->PushBatchFrom(

@@ -155,10 +155,9 @@ Status DeserializeRecord(ser::BufferReader* in, Record* out);
 // Version 2 wraps the v1 body in the same integrity header as the columnar
 // format — [u8 version=2][u32 payload_len][u32 FrameChecksum(payload)] — so
 // every drain wire frame is corruption-checked before decode. Version-1
-// frames (no header) still decode.
+// frames (no header) are rejected.
 
 inline constexpr uint8_t kBatchFormatVersion = 2;
-inline constexpr uint8_t kBatchFormatVersionLegacy = 1;
 
 /// True when the record's fields match the schema's arity and types exactly
 /// (such records serialize tag-free in the columnar section). Inline: called

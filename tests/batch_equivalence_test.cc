@@ -824,10 +824,10 @@ TEST_P(BatchEquivalenceTest, NativeIngestToSpConsumeMatchesRowPlane) {
 // ---------------------------------------------------------------------------
 // Cross-thread equivalence: the same workload at threads=1 and threads=N
 // must be bit-identical — final results, per-epoch per-source drain wire
-// bytes, stats, and observations — across backpressure, flush, checkpoint,
-// and profile epochs. This is the multithreaded executor's determinism
-// contract (the serial loop is the reference semantics; the pool is purely
-// an execution strategy).
+// bytes, stats, and observations — across backpressure, flush, and profile
+// epochs. This is the multithreaded executor's determinism contract
+// (threads=1 is the reference semantics; the pool is purely an execution
+// strategy).
 // ---------------------------------------------------------------------------
 
 /// One source-epoch fingerprint: everything the SP (and the control plane)
@@ -905,7 +905,7 @@ core::BuildingBlock::SourceSpec PingmeshSpec(uint64_t seed, int pairs,
 
 /// Runs the full scripted workload (tight budgets => backpressure and drain;
 /// default RuntimeConfig => profile epochs and adaptation flushes; one
-/// mid-run checkpoint) at the given thread count. Returns the final results
+/// mid-run flush request) at the given thread count. Returns the final results
 /// and fills `trace` with each (epoch, source) fingerprint in consume order.
 RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
                           int epochs, std::vector<EpochFingerprint>* trace,
@@ -935,9 +935,7 @@ RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
   RecordBatch results;
   for (int e = 0; e < epochs; ++e) {
     EXPECT_TRUE(block.RunEpoch(&results).ok()) << "epoch " << e;
-    if (e == epochs / 2) {
-      EXPECT_TRUE(block.CheckpointSource(0, &results).ok());
-    }
+    if (e == epochs / 2) block.source(0).RequestFlush();
   }
   EXPECT_TRUE(block.Finish(&results).ok());
   return results;

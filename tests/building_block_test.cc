@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "core/building_block.h"
 #include "workloads/pingmesh.h"
 #include "workloads/queries.h"
@@ -73,58 +77,61 @@ TEST(BuildingBlockTest, CheckpointShipsStateToStreamProcessor) {
   specs.push_back(MakeSpec(7, 1.0));
   BuildingBlock block(q, std::move(specs));
   ASSERT_TRUE(block.Init().ok());
-  // Force everything local so the source holds aggregation state.
+  FaultToleranceOptions ft;
+  ft.checkpoint_interval = 1;
+  block.EnableFaultTolerance(ft);
   stream::RecordBatch results;
-  for (int e = 0; e < 4; ++e) {
-    block.source(0).SetLoadFactors({1, 1, 1});
-    ASSERT_TRUE(block.RunEpoch(&results).ok());
+  for (int e = 0; e < 4; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+  // Every epoch barrier shipped a checkpoint frame through the drain path,
+  // and the stream processor retained it for recovery.
+  EXPECT_EQ(block.fault_stats().checkpoints_emitted, 4u);
+  EXPECT_GT(block.fault_stats().checkpoint_bytes, 0u);
+  EXPECT_GT(block.stream_processor().checkpoint_store(0).size(), 0u);
+}
+
+/// Window-0 (src, dst) groups of a result batch, as a multiset.
+std::multiset<std::string> WindowZeroGroups(const stream::RecordBatch& rs) {
+  std::multiset<std::string> groups;
+  for (const auto& r : rs) {
+    if (r.window_start == 0) {
+      groups.insert(stream::ValueToString(r.fields[0]) + "/" +
+                    stream::ValueToString(r.fields[1]));
+    }
   }
-  auto shipped = block.CheckpointSource(0, &results);
-  ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-  EXPECT_GT(*shipped, 0u);
+  return groups;
 }
 
 TEST(BuildingBlockTest, SourceFailureAfterCheckpointLosesNothing) {
   // The Section IV-E fault-tolerance story: state checkpointed via the
   // drain path lets the stream processor finalize the current window after
-  // the source dies.
+  // the source dies — here it never re-admits, and the end-of-run recovery
+  // restores it from its checkpoint chain.
   query::CompiledQuery q = CompileS2S();
 
-  auto run = [&](bool fail_after_checkpoint) {
+  auto run = [&](bool crash) {
     std::vector<BuildingBlock::SourceSpec> specs;
     specs.push_back(MakeSpec(9, 1.0));
     BuildingBlock block(q, std::move(specs));
+    FaultToleranceOptions ft;
+    ft.checkpoint_interval = 1;
+    ft.readmit_after_epochs = -1;
+    block.EnableFaultTolerance(ft);
+    auto plan = FaultPlan::Parse("seed=1;crash@3:0");
+    EXPECT_TRUE(plan.ok());
+    block.SetFaultPlan(crash ? std::move(plan).value() : FaultPlan());
     stream::RecordBatch results;
-    for (int e = 0; e < 4; ++e) {
-      block.source(0).SetLoadFactors({1, 1, 1});
-      EXPECT_TRUE(block.RunEpoch(&results).ok());
-    }
-    EXPECT_TRUE(block.CheckpointSource(0, &results).ok());
-    if (fail_after_checkpoint) {
-      EXPECT_TRUE(block.FailSource(0).ok());
-    }
+    for (int e = 0; e < 6; ++e) EXPECT_TRUE(block.RunEpoch(&results).ok());
+    EXPECT_EQ(block.fault_stats().crashes, crash ? 1u : 0u);
     EXPECT_TRUE(block.Finish(&results).ok());
+    EXPECT_EQ(block.fault_stats().checkpoint_restores, crash ? 1u : 0u);
+    EXPECT_EQ(block.fault_stats().records_lost, 0u);
     return results;
   };
 
-  stream::RecordBatch with_failure = run(true);
-  stream::RecordBatch without_failure = run(false);
-  // The 4 epochs of probes before the checkpoint are fully represented in
-  // both runs: same groups, same counts for the first window.
-  ASSERT_FALSE(with_failure.empty());
-  std::multiset<std::string> a, b;
-  for (const auto& r : with_failure) {
-    if (r.window_start == 0) {
-      a.insert(stream::ValueToString(r.fields[0]) + "/" +
-               stream::ValueToString(r.fields[1]));
-    }
-  }
-  for (const auto& r : without_failure) {
-    if (r.window_start == 0) {
-      b.insert(stream::ValueToString(r.fields[0]) + "/" +
-               stream::ValueToString(r.fields[1]));
-    }
-  }
+  const std::multiset<std::string> a = WindowZeroGroups(run(true));
+  const std::multiset<std::string> b = WindowZeroGroups(run(false));
+  // Every epoch of probes in the first window is represented in both runs:
+  // same groups, same counts.
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
 }
@@ -135,24 +142,61 @@ TEST(BuildingBlockTest, FailedSourceDoesNotBlockSurvivors) {
   specs.push_back(MakeSpec(11, 1.0, 30));
   specs.push_back(MakeSpec(12, 1.0, 30));
   BuildingBlock block(q, std::move(specs));
+  FaultToleranceOptions ft;
+  ft.checkpoint_interval = -1;
+  ft.readmit_after_epochs = -1;
+  block.EnableFaultTolerance(ft);
+  auto plan = FaultPlan::Parse("seed=1;crash@3:0");
+  ASSERT_TRUE(plan.ok());
+  block.SetFaultPlan(std::move(plan).value());
   stream::RecordBatch results;
-  for (int e = 0; e < 3; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
-  ASSERT_TRUE(block.FailSource(0).ok());
+  for (int e = 0; e < 4; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+  ASSERT_EQ(block.health(0), SourceHealth::kQuarantined);
   // The surviving source's windows keep closing (the dead source's
   // watermark was released).
   const size_t before = results.size();
-  for (int e = 3; e < 15; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+  for (int e = 4; e < 15; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
   EXPECT_GT(results.size(), before);
+  EXPECT_EQ(block.health(0), SourceHealth::kQuarantined);
 }
 
-TEST(BuildingBlockTest, InvalidSourceIdsRejected) {
+TEST(BuildingBlockTest, EpochTapSeesEverySourceEpochInOrder) {
   query::CompiledQuery q = CompileS2S();
   std::vector<BuildingBlock::SourceSpec> specs;
-  specs.push_back(MakeSpec(1, 1.0));
+  for (uint64_t s = 1; s <= 3; ++s) specs.push_back(MakeSpec(s, 0.5, 50));
   BuildingBlock block(q, std::move(specs));
+  ASSERT_TRUE(block.Init().ok());
+  block.EnableFaultTolerance(FaultToleranceOptions());
+  block.SetFaultPlan(FaultPlan());  // no scripted crash may skip a tap
+  std::vector<size_t> order;
+  std::vector<double> ratios;
+  block.SetEpochTap([&](size_t source, const SourceEpochOutput& out) {
+    order.push_back(source);
+    if (!out.observation.profiles_valid) return;
+    for (const OperatorProfile& p : out.observation.profiles) {
+      ratios.push_back(p.wire_ratio);
+    }
+  });
+  constexpr int kEpochs = 6;
   stream::RecordBatch results;
-  EXPECT_FALSE(block.CheckpointSource(5, &results).ok());
-  EXPECT_FALSE(block.FailSource(5).ok());
+  for (int e = 0; e < kEpochs; ++e) {
+    ASSERT_TRUE(block.RunEpoch(&results).ok());
+  }
+  // Once per source per epoch, in ascending source order.
+  std::vector<size_t> want;
+  for (int e = 0; e < kEpochs; ++e) {
+    for (size_t s = 0; s < 3; ++s) want.push_back(s);
+  }
+  EXPECT_EQ(order, want);
+  // A profiling epoch's observation carries the measured wire ratios, not
+  // the unmeasured default of 1.
+  ASSERT_FALSE(ratios.empty());
+  EXPECT_TRUE(std::any_of(ratios.begin(), ratios.end(),
+                          [](double r) { return r != 1.0; }));
+  for (const double r : ratios) {
+    EXPECT_GT(r, 0.0);
+    EXPECT_LE(r, 64.0);
+  }
 }
 
 }  // namespace

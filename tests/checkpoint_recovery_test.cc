@@ -291,7 +291,7 @@ CkptRun RunCkpt(const query::CompiledQuery& q, const std::string& spec,
 void ExpectConservation(const CkptRun& run) {
   EXPECT_EQ(run.stats.records_sent,
             run.stats.records_delivered + run.stats.records_lost +
-                run.in_flight);
+                run.stats.records_shed + run.in_flight);
   EXPECT_FALSE(run.duplicate_delivery);
 }
 
@@ -366,8 +366,9 @@ TEST(CheckpointRecoveryTest, ExhaustedRetransmitsRecoverLosslessly) {
   EXPECT_EQ(stats.checkpoint_restores, 1u);
   EXPECT_EQ(stats.records_lost, 0u);
   EXPECT_GT(stats.records_replayed, 0u);
-  EXPECT_EQ(stats.records_sent,
-            stats.records_delivered + block.records_in_flight());
+  EXPECT_EQ(stats.records_sent, stats.records_delivered +
+                                    stats.records_shed +
+                                    block.records_in_flight());
 }
 
 TEST(CheckpointRecoveryTest, GenesisReplayCoversCrashBeforeFirstCheckpoint) {
@@ -462,6 +463,7 @@ TEST(CheckpointRecoveryTest, CheckpointsOffExhaustedRetransmitsStayLossy) {
   EXPECT_EQ(stats.checkpoint_restores, 0u);
   EXPECT_EQ(stats.checkpoints_emitted, 0u);
   EXPECT_EQ(stats.records_sent, stats.records_delivered + stats.records_lost +
+                                    stats.records_shed +
                                     block.records_in_flight());
 }
 

@@ -175,10 +175,11 @@ BuildingBlock::SourceSpec MakeSpec(uint64_t seed, int pairs) {
   return spec;
 }
 
-/// Runs the scripted churn (fail source 1 after epoch 2, join a source after
-/// epoch 4, checkpoint source 0 after epoch 6) at the given thread count and
-/// returns the full result batch; also asserts the merged watermark is
-/// monotone and the epoch loop never errors or hangs.
+/// Runs the scripted churn (source 1 crashes in epoch 3 and never re-admits,
+/// a source joins after epoch 4, source 0 flushes its pending state in epoch
+/// 7) at the given thread count and returns the full result batch; also
+/// asserts the merged watermark is monotone and the epoch loop never errors
+/// or hangs.
 stream::RecordBatch RunScriptedChurn(const query::CompiledQuery& q,
                                      int threads,
                                      std::vector<Micros>* watermarks) {
@@ -186,21 +187,22 @@ stream::RecordBatch RunScriptedChurn(const query::CompiledQuery& q,
   for (uint64_t s = 1; s <= 4; ++s) specs.push_back(MakeSpec(s, 40));
   BuildingBlock block(q, std::move(specs), RuntimeConfig(), threads);
   EXPECT_TRUE(block.Init().ok());
+  FaultToleranceOptions ft;
+  ft.readmit_after_epochs = -1;
+  block.EnableFaultTolerance(ft);
+  auto plan = FaultPlan::Parse("seed=1;crash@3:1");
+  EXPECT_TRUE(plan.ok());
+  block.SetFaultPlan(std::move(plan).value());
   stream::RecordBatch results;
   Micros last = stream::WatermarkMerger::kUninitialized;
   for (int e = 0; e < 12; ++e) {
     EXPECT_TRUE(block.RunEpoch(&results).ok()) << "epoch " << e;
-    if (e == 2) {
-      EXPECT_TRUE(block.FailSource(1).ok());
-    }
     if (e == 4) {
       auto id = block.AddSource(MakeSpec(99, 40));
       EXPECT_TRUE(id.ok());
       EXPECT_EQ(*id, 4u);
     }
-    if (e == 6) {
-      EXPECT_TRUE(block.CheckpointSource(0, &results).ok());
-    }
+    if (e == 6) block.source(0).RequestFlush();
     const Micros merged = block.stream_processor().merged_watermark();
     if (merged != stream::WatermarkMerger::kUninitialized) {
       EXPECT_TRUE(last == stream::WatermarkMerger::kUninitialized ||

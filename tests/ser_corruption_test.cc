@@ -3,7 +3,7 @@
 // wrong bytes — on truncated or bit-flipped input. The suite runs a corpus
 // of batch (v2) and columnar (v3) frames through exhaustive truncation and
 // seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
-// half of the contract. Legacy (pre-checksum) frames must keep decoding.
+// half of the contract. Legacy (pre-checksum) frames are rejected.
 
 #include <gtest/gtest.h>
 
@@ -90,13 +90,17 @@ struct Format {
   const char* name;
   std::vector<uint8_t> (*encode)(const Corpus&);
   Status (*decode)(ser::BufferReader*, RecordBatch*);
-  uint8_t legacy_version;
+  uint8_t legacy_version;  ///< the retired pre-checksum version byte
 };
 
+/// The retired pre-checksum version bytes (batch v1, columnar v2).
+constexpr uint8_t kLegacyBatchVersion = 1;
+constexpr uint8_t kLegacyColumnarVersion = 2;
+
 constexpr Format kFormats[] = {
-    {"batch", &EncodeBatch, &DeserializeBatch, kBatchFormatVersionLegacy},
+    {"batch", &EncodeBatch, &DeserializeBatch, kLegacyBatchVersion},
     {"columnar", &EncodeColumnar, &DeserializeColumnar,
-     kColumnarFormatVersionLegacy},
+     kLegacyColumnarVersion},
 };
 
 Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
@@ -129,11 +133,12 @@ TEST(SerCorruptionTest, RoundTripsAndStopsAtFrameBoundary) {
   }
 }
 
-TEST(SerCorruptionTest, LegacyUnchecksummedFramesStillDecode) {
+TEST(SerCorruptionTest, LegacyUnchecksummedFramesAreRejected) {
   // A v3 columnar / v2 batch frame is [version][u32 len][u32 crc][body]
   // where the body is byte-identical to the previous format version; strip
   // the integrity header and rewrite the version byte to fabricate frames
-  // from before the format bump.
+  // from before the format bump. No encoder emits them, so no decoder
+  // accepts them.
   for (const Corpus& c : BuildCorpus()) {
     for (const Format& fmt : kFormats) {
       SCOPED_TRACE(c.name + std::string("/") + fmt.name);
@@ -142,8 +147,8 @@ TEST(SerCorruptionTest, LegacyUnchecksummedFramesStillDecode) {
       std::vector<uint8_t> legacy{fmt.legacy_version};
       legacy.insert(legacy.end(), framed.begin() + 9, framed.end());
       RecordBatch out;
-      ASSERT_TRUE(DecodeBytes(fmt, legacy, &out).ok());
-      EXPECT_EQ(out, c.rows);
+      EXPECT_EQ(DecodeBytes(fmt, legacy, &out).code(),
+                StatusCode::kSerializationError);
     }
   }
 }
@@ -373,16 +378,14 @@ TEST(SerCorruptionTest, ColumnarBatchDecodeMatchesRowDecode) {
     EXPECT_EQ(batch_decoded, row_decoded);
     EXPECT_EQ(batch_decoded, c.rows);
 
-    // Legacy (pre-checksum) body: both decoders accept it identically.
+    // Legacy (pre-checksum) body: both decoders reject it identically.
     ASSERT_GE(bytes.size(), 9u);
-    std::vector<uint8_t> legacy{kColumnarFormatVersionLegacy};
+    std::vector<uint8_t> legacy{kLegacyColumnarVersion};
     legacy.insert(legacy.end(), bytes.begin() + 9, bytes.end());
     ColumnarBatch legacy_batch;
     ser::BufferReader r(legacy.data(), legacy.size());
-    ASSERT_TRUE(DeserializeColumnarBatch(&r, &legacy_batch).ok());
-    RecordBatch legacy_rows;
-    legacy_batch.MoveToRows(&legacy_rows);
-    EXPECT_EQ(legacy_rows, c.rows);
+    EXPECT_EQ(DeserializeColumnarBatch(&r, &legacy_batch).code(),
+              StatusCode::kSerializationError);
   }
 }
 
