@@ -234,8 +234,8 @@ void BuildingBlock::RunSourceEpoch(size_t s, int64_t epoch, Micros from,
     return;
   }
   // The overload directive decided at the last barrier governs this epoch:
-  // admission and deferral caps apply inside RunEpoch, the drain cap right
-  // after it, all on this task — no cross-thread controller access.
+  // admission and deferral caps apply inside RunEpoch on this task — no
+  // cross-thread controller access.
   sources_[s]->SetIngressLimits({ing.admit_cap, ing.defer_cap});
   sources_[s]->Ingest(GenerateShaped(s, from, to));
   Result<SourceEpochOutput> out = sources_[s]->RunEpoch(to, profile);
@@ -243,9 +243,6 @@ void BuildingBlock::RunSourceEpoch(size_t s, int64_t epoch, Micros from,
     env.status = out.status();
     handoff_->Put(s, std::move(env));
     return;
-  }
-  if (ing.drain_cap != IngressDirective::kUnlimited) {
-    env.shed_drain = ShedDrainChunks(ing.drain_cap, &*out, &env.chunks_shed);
   }
   // The tap sees the drain as it leaves the source; SerializeDrain below
   // consumes the chunks, so only a tapped block pays for the copy.
@@ -257,7 +254,7 @@ void BuildingBlock::RunSourceEpoch(size_t s, int64_t epoch, Micros from,
   env.sample.offered = out->ingress_offered;
   env.sample.admitted = out->ingress_admitted;
   env.sample.deferred = out->ingress_deferred;
-  env.sample.shed = out->ingress_shed + env.shed_drain;
+  env.sample.shed = out->ingress_shed;
   env.sample.drained = env.records;
   // Pending = deferred ingress plus records parked in stage queues when the
   // epoch's CPU budget ran out — the budget-starvation half of the backlog,
@@ -500,15 +497,9 @@ Status BuildingBlock::ProcessEnvelope(size_t s, int64_t e,
   // conservation to sent == delivered + lost + shed + in_flight. Crash
   // replay re-runs already-counted epochs, so the fence records how far the
   // books already go.
-  const uint64_t shed = env.shed + env.shed_drain;
-  stats_.records_sent += shed;
-  stats_.records_shed += shed;
-  if (overload_) {
-    OverloadStats& os = overload_->mutable_stats();
-    os.records_shed_ingress += env.shed;
-    os.records_shed_drain += env.shed_drain;
-    os.chunks_shed += env.chunks_shed;
-  }
+  stats_.records_sent += env.shed;
+  stats_.records_shed += env.shed;
+  if (overload_) overload_->mutable_stats().records_shed_ingress += env.shed;
   if (env.epoch >= 0) {
     ps.shed_counted_until = std::max(ps.shed_counted_until, env.epoch + 1);
   }
@@ -951,22 +942,13 @@ Status BuildingBlock::RestoreAndReplay(size_t s, int64_t e,
     sources_[s]->Ingest(GenerateShaped(s, from, to));
     JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
                             sources_[s]->RunEpoch(to, profile));
-    uint64_t shed_drain = 0;
-    uint64_t chunks_shed = 0;
-    if (ing.drain_cap != IngressDirective::kUnlimited) {
-      shed_drain = ShedDrainChunks(ing.drain_cap, &out, &chunks_shed);
-    }
     // Epochs the original run already booked re-shed the same records
     // (replay is bit-identical); only the crash window's shed is new money.
     if (r >= ps.shed_counted_until) {
-      const uint64_t shed = out.ingress_shed + shed_drain;
-      stats_.records_sent += shed;
-      stats_.records_shed += shed;
+      stats_.records_sent += out.ingress_shed;
+      stats_.records_shed += out.ingress_shed;
       if (overload_) {
-        OverloadStats& os = overload_->mutable_stats();
-        os.records_shed_ingress += out.ingress_shed;
-        os.records_shed_drain += shed_drain;
-        os.chunks_shed += chunks_shed;
+        overload_->mutable_stats().records_shed_ingress += out.ingress_shed;
       }
       ps.shed_counted_until = r + 1;
     }

@@ -99,7 +99,7 @@ struct FaultStats {
   uint64_t records_delivered = 0;
   uint64_t records_lost = 0;
   /// Records deliberately dropped by the overload controller (ingress
-  /// admission shed + watermark-safe drain-chunk shed). Widens the
+  /// admission shed). Widens the
   /// conservation invariant:
   ///   records_sent == records_delivered + records_lost + records_shed
   ///                   + records_in_flight.
@@ -370,10 +370,8 @@ class BuildingBlock {
     bool decided_flush = false;
     // --- overload control ---
     int64_t epoch = -1;        ///< which epoch this envelope carries
-    uint64_t shed = 0;         ///< ingress records shed this epoch
-    uint64_t shed_drain = 0;   ///< records shed from drain chunks
-    uint64_t chunks_shed = 0;  ///< whole drain chunks dropped
-    PressureSample sample;     ///< pressure signals for the controller
+    uint64_t shed = 0;      ///< ingress records shed this epoch
+    PressureSample sample;  ///< pressure signals for the controller
   };
 
   /// Folds one profiling epoch's measured wire bytes into the observation's

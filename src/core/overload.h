@@ -123,7 +123,7 @@ class TrafficShaper {
 enum class OverloadLevel : uint8_t {
   kSteady = 0,      ///< no intervention
   kThrottled = 1,   ///< per-epoch admission capped; overflow deferred
-  kShedding = 2,    ///< + bounded defer buffer and drain-chunk shedding
+  kShedding = 2,    ///< + bounded defer buffer; overflow beyond it is shed
   kQuarantined = 3, ///< ingress blackout: everything offered is shed
 };
 
@@ -149,7 +149,7 @@ struct IngressDirective {
 
   uint64_t admit_cap = kUnlimited;  ///< records routed per epoch
   uint64_t defer_cap = kUnlimited;  ///< records the input buffer may hold back
-  uint64_t drain_cap = kUnlimited;  ///< records per epoch drain (chunk shed)
+  uint64_t drain_cap = kUnlimited;  ///< ShedDrainChunks cap (sheds nothing)
   double pressure = 0.0;            ///< fed into OperatorProfile::pressure
   OverloadLevel level = OverloadLevel::kSteady;
 
@@ -193,8 +193,6 @@ struct OverloadOptions {
 /// FaultStats, so shedding itself is part of the determinism fingerprint.
 struct OverloadStats {
   uint64_t records_shed_ingress = 0;
-  uint64_t records_shed_drain = 0;
-  uint64_t chunks_shed = 0;
   uint64_t throttled_epochs = 0;
   uint64_t shedding_epochs = 0;
   uint64_t quarantined_epochs = 0;
@@ -254,14 +252,11 @@ class OverloadController {
   OverloadStats stats_;
 };
 
-/// Watermark-safe, priority-ordered drain shedding: drops whole pure-data
-/// columnar chunks — in ascending entry-operator order, so the records the
-/// SP has done the least work for go first — until the drain holds at most
-/// `drain_cap` records. Row-lane chunks may carry kPartial operator state or
-/// watermark-bearing emissions and are never shed; checkpoint frames are
-/// built after shedding and are unaffected. Subtracts the shed chunks' row
-/// wire bytes from `out->drained_bytes`. Returns records shed and counts
-/// dropped chunks into `*chunks_shed`.
+/// Watermark-safe drain shedding. Row-lane chunks may carry kPartial
+/// operator state or watermark-bearing emissions and are never shed, and
+/// every drain chunk is a row-lane chunk, so this sheds nothing: it returns
+/// 0 and leaves `out` and `*chunks_shed` untouched. Overload control sheds
+/// at ingress instead (IngressLimits).
 uint64_t ShedDrainChunks(uint64_t drain_cap, SourceEpochOutput* out,
                          uint64_t* chunks_shed);
 

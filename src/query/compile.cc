@@ -12,7 +12,7 @@ Result<stream::OperatorPtr> MakeOperator(const LogicalOp& op,
           op.name, op.output_schema, op.window_width));
     case OpKind::kFilter:
       // The typed form (when the builder could express the predicate in the
-      // mini-language) compiles to the branch-free columnar path; the
+      // mini-language) compiles to a TypedPredicate filter; the
       // std::function form stays as the fully general fallback.
       if (op.typed_predicate) {
         return stream::OperatorPtr(std::make_unique<stream::FilterOp>(

@@ -116,9 +116,9 @@ class BufferReader {
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ >= size_; }
 
-  /// Raw cursor access for block decoders (the stream/kernels varint block
-  /// steps): the kernel consumes bytes straight from the span and the
-  /// caller advances past them. `n` must not exceed remaining().
+  /// Raw cursor access for nested readers (checkpoint sections): the caller
+  /// reads bytes straight from the span and advances past them. `n` must
+  /// not exceed remaining().
   const uint8_t* cursor() const { return data_ + pos_; }
   void Advance(size_t n) { pos_ += n; }
 

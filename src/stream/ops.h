@@ -21,7 +21,6 @@ class WindowOp : public Operator {
   OpKind kind() const override { return OpKind::kWindow; }
   Micros width() const { return width_; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return true; }
 
   /// The stamper holds no record state; a full export carries the window
   /// width as a config guard so restore onto a differently-shaped plan is
@@ -33,7 +32,6 @@ class WindowOp : public Operator {
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   Micros width_;
@@ -45,9 +43,8 @@ class WindowOp : public Operator {
 ///
 /// Two predicate forms: the opaque `std::function` form (retained as the
 /// fully general fallback — arbitrary C++ over the record), and the typed
-/// `TypedPredicate` form compiled at plan time, which additionally unlocks
-/// the columnar fast path: evaluation runs branch-free over the batch's
-/// typed columns into a selection bitmap, with no indirect call per record.
+/// `TypedPredicate` form compiled at plan time, which the query builder
+/// validates against the schema and the optimizer can fuse.
 class FilterOp : public Operator {
  public:
   using Predicate = std::function<bool(const Record&)>;
@@ -57,28 +54,14 @@ class FilterOp : public Operator {
 
   OpKind kind() const override { return OpKind::kFilter; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return has_typed_; }
-
-  /// The typed form when this filter was built from one (else nullptr).
-  const TypedPredicate* typed_predicate() const {
-    return has_typed_ ? &typed_ : nullptr;
-  }
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   Predicate pred_;
-  TypedPredicate typed_;
-  bool has_typed_ = false;
-  // Columnar evaluation scratch (selection bytes per composition depth plus
-  // the fallback-lane keep mask), reused across batches.
-  std::vector<uint8_t> sel_;
-  std::vector<std::vector<uint8_t>> sel_pool_;
-  std::vector<uint8_t> keep_fallback_;
 };
 
 /// Stateless 1->N transform (parsing, splitting, bucketizing...). The
@@ -110,13 +93,11 @@ class ProjectOp : public Operator {
 
   OpKind kind() const override { return OpKind::kProject; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return true; }
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   /// Non-virtual per-record body shared by both process paths.

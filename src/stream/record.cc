@@ -211,7 +211,7 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
   out->Reserve(32 + nf + n * 8);
   out->PutU8(kBatchFormatVersion);
   // Integrity header: payload length + checksum, patched once the body is
-  // written (same framing as the columnar format).
+  // written.
   const size_t len_pos = out->size();
   out->PutU32(0);
   out->PutU32(0);
@@ -224,9 +224,8 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 
   // Header rows: one flag byte plus two *delta-encoded* time varints per
   // record, in one pass; the payload follows as packed columns. Event times
-  // are near-monotone, so deltas keep the varints at one or two bytes; the
-  // shared ser::DeltaEncoder (also behind the columnar format and the SIMD
-  // kernel block steps) makes the wraparound arithmetic exact.
+  // are near-monotone, so deltas keep the varints at one or two bytes;
+  // ser::DeltaEncoder makes the wraparound arithmetic exact.
   std::vector<uint8_t> conforming(n);
   ser::ChunkWriter w(out);
   ser::DeltaEncoder et_enc, ws_enc;

@@ -152,15 +152,15 @@ Status DeserializeRecord(ser::BufferReader* in, Record* out);
 // different arity — are flagged and serialized with inline tags after the
 // columns, so any batch round-trips losslessly.
 //
-// Version 2 wraps the v1 body in the same integrity header as the columnar
-// format — [u8 version=2][u32 payload_len][u32 FrameChecksum(payload)] — so
-// every drain wire frame is corruption-checked before decode. Version-1
-// frames (no header) are rejected.
+// Version 2 wraps the v1 body in an integrity header — [u8 version=2]
+// [u32 payload_len][u32 FrameChecksum(payload)] — so every drain wire frame
+// is corruption-checked before decode. Version-1 frames (no header) are
+// rejected.
 
 inline constexpr uint8_t kBatchFormatVersion = 2;
 
 /// True when the record's fields match the schema's arity and types exactly
-/// (such records serialize tag-free in the columnar section). Inline: called
+/// (such records serialize tag-free in the column section). Inline: called
 /// once per record on the drain serialization path.
 inline bool ConformsToSchema(const Record& rec, const Schema& schema) {
   if (rec.fields.size() != schema.num_fields()) return false;
@@ -182,8 +182,8 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out);
 
 /// Writes one value with its inline type tag (the record-format payload
-/// encoding). Shared by the batch and columnar formats' fallback sections so
-/// the three wire formats agree on tagged-value bytes.
+/// encoding). Shared by the batch format's fallback section so the record
+/// and batch formats agree on tagged-value bytes.
 void WriteTaggedValue(const Value& v, ser::ChunkWriter* w);
 
 /// Decodes one inline-tagged value written by WriteTaggedValue (or the

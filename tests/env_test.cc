@@ -78,26 +78,6 @@ TEST(EnvTest, FlagAcceptsSpellingsRejectsNoise) {
   }
 }
 
-TEST(EnvTest, EnumMatchesSetAndListsItOnError) {
-  ::unsetenv(kVar);
-  auto unset = env::Enum(kVar, 2, {"scalar", "avx2", "neon"});
-  ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(*unset, 2u);
-
-  {
-    ScopedEnv e(kVar, "avx2");
-    auto v = env::Enum(kVar, 0, {"scalar", "avx2", "neon"});
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(*v, 1u);
-  }
-  ScopedEnv e(kVar, "sse9");
-  auto v = env::Enum(kVar, 0, {"scalar", "avx2", "neon"});
-  ASSERT_FALSE(v.ok());
-  // The accepted set is part of the diagnostic.
-  EXPECT_NE(v.status().message().find("scalar"), std::string::npos);
-  EXPECT_NE(v.status().message().find("neon"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Malformed knobs fail Init(), loudly
 // ---------------------------------------------------------------------------

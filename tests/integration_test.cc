@@ -242,20 +242,10 @@ TEST(IntegrationTest, DrainedRecordsSurviveSerialization) {
     source.Ingest(gen.Generate(Seconds(e), Seconds(e + 1)));
     auto out = source.RunEpoch(Seconds(e + 1), false);
     ASSERT_TRUE(out.ok());
-    // Round-trip every drain chunk through its wire format: columnar
-    // slices through SerializeColumnar, row runs through the record format.
+    // Round-trip every drained record through the record format.
     SourceEpochOutput rebuilt;
     rebuilt.watermark = out->watermark;
     for (core::DrainChunk& chunk : out->to_sp) {
-      if (!chunk.columns.empty()) {
-        ser::BufferWriter w;
-        stream::SerializeColumnar(chunk.columns, &w);
-        ser::BufferReader r(w.data());
-        RecordBatch decoded;
-        ASSERT_TRUE(stream::DeserializeColumnar(&r, &decoded).ok());
-        ASSERT_EQ(decoded.size(), chunk.columns.num_rows());
-        rebuilt.AppendDrainRows(chunk.sp_entry_op, std::move(decoded));
-      }
       for (const Record& rec : chunk.rows) {
         ser::BufferWriter w;
         stream::SerializeRecord(rec, &w);
@@ -270,62 +260,6 @@ TEST(IntegrationTest, DrainedRecordsSurviveSerialization) {
     ASSERT_TRUE(sp.EndEpoch(&results).ok());
   }
   EXPECT_FALSE(results.empty());
-}
-
-TEST(IntegrationTest, ColumnarDrainChunksSurviveSerialization) {
-  // Same round-trip guarantee on the native plane: a stateless query drains
-  // columnar chunks; SerializeColumnar -> DeserializeColumnar must carry
-  // them to the SP with results identical to direct handoff.
-  query::QueryBuilder builder(workloads::PingmeshGenerator::Schema());
-  builder.Window(Seconds(1)).FilterI64Eq("errCode", 0);
-  builder.Project({"srcIp", "dstIp", "rtt"});
-  auto plan = builder.Build();
-  ASSERT_TRUE(plan.ok());
-  auto compiled = query::Compile(std::move(plan).value());
-  ASSERT_TRUE(compiled.ok());
-  auto costs = std::make_shared<FixedCostModel>(
-      std::vector<double>{1e-7, 1e-7, 1e-7});
-  SourceExecutor source(*compiled, costs, SourceExecutorOptions{});
-  ASSERT_TRUE(source.Init().ok());
-  source.SetLoadFactors({1, 0.5, 0.5});
-  SpExecutor direct_sp(*compiled, 1), wire_sp(*compiled, 1);
-
-  workloads::PingmeshConfig pcfg;
-  pcfg.num_pairs = 60;
-  pcfg.probe_interval = Seconds(1);
-  workloads::PingmeshGenerator gen(pcfg);
-
-  RecordBatch direct_results, wire_results;
-  for (int e = 0; e < 6; ++e) {
-    stream::ColumnarBatch born(workloads::PingmeshGenerator::Schema());
-    gen.GenerateColumnar(Seconds(e), Seconds(e + 1), &born);
-    source.IngestColumnar(std::move(born));
-    auto out = source.RunEpoch(Seconds(e + 1), false);
-    ASSERT_TRUE(out.ok());
-
-    SourceEpochOutput rebuilt;
-    rebuilt.watermark = out->watermark;
-    size_t columnar_chunks = 0;
-    for (core::DrainChunk& chunk : out->to_sp) {
-      ASSERT_TRUE(chunk.rows.empty());  // native plane: columnar only
-      ++columnar_chunks;
-      ser::BufferWriter w;
-      stream::SerializeColumnar(chunk.columns, &w);
-      ser::BufferReader r(w.data());
-      RecordBatch decoded;
-      ASSERT_TRUE(stream::DeserializeColumnar(&r, &decoded).ok());
-      ASSERT_TRUE(r.AtEnd());
-      rebuilt.AppendDrainRows(chunk.sp_entry_op, std::move(decoded));
-    }
-    EXPECT_GT(columnar_chunks, 0u);
-    ASSERT_TRUE(wire_sp.Consume(0, std::move(rebuilt), &wire_results).ok());
-    ASSERT_TRUE(
-        direct_sp.Consume(0, std::move(out).value(), &direct_results).ok());
-    ASSERT_TRUE(wire_sp.EndEpoch(&wire_results).ok());
-    ASSERT_TRUE(direct_sp.EndEpoch(&direct_results).ok());
-  }
-  EXPECT_FALSE(direct_results.empty());
-  EXPECT_EQ(wire_results, direct_results);
 }
 
 }  // namespace

@@ -358,8 +358,24 @@ TEST(OptimizerTest, PushdownCompilesToProjectFirstPipeline) {
   EXPECT_EQ((*pipeline)->op(0).kind(), OpKind::kProject);
   EXPECT_EQ((*pipeline)->op(1).kind(), OpKind::kWindow);
   EXPECT_EQ((*pipeline)->op(2).kind(), OpKind::kFilter);
-  // The whole compiled chain keeps its columnar paths after the rewrite.
-  EXPECT_TRUE((*pipeline)->FullyColumnar());
+  // Every stage of the rewritten chain runs on the projected schema, and the
+  // filter's field index was remapped onto it: a != 0 drops exactly the
+  // a == 0 record.
+  const Schema projected =
+      Schema::Of({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}});
+  for (size_t i = 0; i < (*pipeline)->size(); ++i) {
+    EXPECT_EQ((*pipeline)->op(i).output_schema(), projected) << i;
+  }
+  using stream::Value;
+  stream::RecordBatch in, out;
+  in.emplace_back(Seconds(1),
+                  std::vector<Value>{int64_t{0}, 1.5, std::string("x")});
+  in.emplace_back(Seconds(1),
+                  std::vector<Value>{int64_t{7}, 2.5, std::string("y")});
+  ASSERT_TRUE((*pipeline)->PushBatch(std::move(in), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].fields, (std::vector<Value>{int64_t{7}, 2.5}));
+  EXPECT_EQ(out[0].window_start, Seconds(1));
 }
 
 // ---------------------------------------------------------------------------

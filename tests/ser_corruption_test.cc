@@ -1,9 +1,9 @@
 // Adversarial decode hardening for the drain wire formats: every decode path
 // must return a Status — never assert, crash, over-read, or silently accept
 // wrong bytes — on truncated or bit-flipped input. The suite runs a corpus
-// of batch (v2) and columnar (v3) frames through exhaustive truncation and
-// seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
-// half of the contract. Legacy (pre-checksum) frames are rejected.
+// of batch (v2) frames through exhaustive truncation and seeded bit-flips;
+// the ASan/UBSan CI leg is the real judge of the "no UB" half of the
+// contract. Legacy (pre-checksum) frames are rejected.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +16,13 @@
 #include "core/checkpoint.h"
 #include "core/drain_wire.h"
 #include "core/source_executor.h"
+#include "core/sp_executor.h"
+#include "query/compile.h"
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 #include "stream/group_aggregate.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
+#include "workloads/queries.h"
 
 namespace jarvis::stream {
 namespace {
@@ -30,7 +32,7 @@ using jarvis::testing::KvSchema;
 using jarvis::testing::MakeRecord;
 using jarvis::testing::MakeWindowedRecord;
 
-/// One corpus entry: a row batch plus the schema its columnar form uses.
+/// One corpus entry: a row batch plus the schema it is encoded against.
 struct Corpus {
   std::string name;
   RecordBatch rows;
@@ -64,7 +66,7 @@ std::vector<Corpus> BuildCorpus() {
     if (i % 4 == 0) r.kind = RecordKind::kPartial;
     mixed.rows.push_back(std::move(r));
   }
-  // Non-conforming rows exercise the columnar fallback lane.
+  // Non-conforming rows exercise the batch format's fallback section.
   mixed.rows.push_back(MakeRecord(Seconds(99), "stray", int64_t{1}, 3.5));
   corpus.push_back(std::move(mixed));
   return corpus;
@@ -76,16 +78,8 @@ std::vector<uint8_t> EncodeBatch(const Corpus& c) {
   return w.Release();
 }
 
-std::vector<uint8_t> EncodeColumnar(const Corpus& c) {
-  RecordBatch rows = c.rows;  // FromRows consumes
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), c.schema);
-  ser::BufferWriter w;
-  SerializeColumnar(cb, &w);
-  return w.Release();
-}
-
-/// The two wire formats under test, driven through one reader-level decode
-/// so the frame-boundary behavior (bounded consumption) is also covered.
+/// The wire format under test, driven through one reader-level decode so
+/// the frame-boundary behavior (bounded consumption) is also covered.
 struct Format {
   const char* name;
   std::vector<uint8_t> (*encode)(const Corpus&);
@@ -93,14 +87,11 @@ struct Format {
   uint8_t legacy_version;  ///< the retired pre-checksum version byte
 };
 
-/// The retired pre-checksum version bytes (batch v1, columnar v2).
+/// The retired pre-checksum version byte (batch v1).
 constexpr uint8_t kLegacyBatchVersion = 1;
-constexpr uint8_t kLegacyColumnarVersion = 2;
 
 constexpr Format kFormats[] = {
     {"batch", &EncodeBatch, &DeserializeBatch, kLegacyBatchVersion},
-    {"columnar", &EncodeColumnar, &DeserializeColumnar,
-     kLegacyColumnarVersion},
 };
 
 Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
@@ -134,7 +125,7 @@ TEST(SerCorruptionTest, RoundTripsAndStopsAtFrameBoundary) {
 }
 
 TEST(SerCorruptionTest, LegacyUnchecksummedFramesAreRejected) {
-  // A v3 columnar / v2 batch frame is [version][u32 len][u32 crc][body]
+  // A v2 batch frame is [version][u32 len][u32 crc][body]
   // where the body is byte-identical to the previous format version; strip
   // the integrity header and rewrite the version byte to fabricate frames
   // from before the format bump. No encoder emits them, so no decoder
@@ -352,77 +343,14 @@ TEST(SerCorruptionTest, CheckpointStoreFallsBackPastCorruptEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar bulk decode (DeserializeColumnarBatch): the decode-worker path
-// must invert the same frames the row-at-a-time decoder inverts, bit for bit
-// ---------------------------------------------------------------------------
-
-TEST(SerCorruptionTest, ColumnarBatchDecodeMatchesRowDecode) {
-  for (const Corpus& c : BuildCorpus()) {
-    SCOPED_TRACE(c.name);
-    const std::vector<uint8_t> bytes = EncodeColumnar(
-        Corpus{c.name, c.rows, c.schema});
-    RecordBatch row_decoded;
-    {
-      ser::BufferReader r(bytes.data(), bytes.size());
-      ASSERT_TRUE(DeserializeColumnar(&r, &row_decoded).ok());
-      ASSERT_TRUE(r.AtEnd());
-    }
-    ColumnarBatch batch;
-    {
-      ser::BufferReader r(bytes.data(), bytes.size());
-      ASSERT_TRUE(DeserializeColumnarBatch(&r, &batch).ok());
-      ASSERT_TRUE(r.AtEnd());
-    }
-    RecordBatch batch_decoded;
-    batch.MoveToRows(&batch_decoded);
-    EXPECT_EQ(batch_decoded, row_decoded);
-    EXPECT_EQ(batch_decoded, c.rows);
-
-    // Legacy (pre-checksum) body: both decoders reject it identically.
-    ASSERT_GE(bytes.size(), 9u);
-    std::vector<uint8_t> legacy{kLegacyColumnarVersion};
-    legacy.insert(legacy.end(), bytes.begin() + 9, bytes.end());
-    ColumnarBatch legacy_batch;
-    ser::BufferReader r(legacy.data(), legacy.size());
-    EXPECT_EQ(DeserializeColumnarBatch(&r, &legacy_batch).code(),
-              StatusCode::kSerializationError);
-  }
-}
-
-TEST(SerCorruptionTest, ColumnarBatchDecodeSurvivesTruncationAndFlips) {
-  for (const Corpus& c : BuildCorpus()) {
-    SCOPED_TRACE(c.name);
-    const std::vector<uint8_t> bytes = EncodeColumnar(
-        Corpus{c.name, c.rows, c.schema});
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      ColumnarBatch out;
-      ser::BufferReader r(bytes.data(), len);
-      EXPECT_FALSE(DeserializeColumnarBatch(&r, &out).ok())
-          << "prefix length " << len << " of " << bytes.size() << " decoded";
-    }
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      for (const int bit : {0, 3, 7}) {
-        std::vector<uint8_t> bad = bytes;
-        bad[i] ^= static_cast<uint8_t>(1u << bit);
-        ColumnarBatch out;
-        ser::BufferReader r(bad.data(), bad.size());
-        (void)DeserializeColumnarBatch(&r, &out);  // Status; sanitizers judge
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Compressed wire frames (drain wire v2/LZ4): truncation and flips surface
 // as Status — the NACK that triggers retransmission — never as UB
 // ---------------------------------------------------------------------------
 
-/// An epoch drain with redundant-but-distinct strings (the dictionary lane
-/// can't fold them, so LZ4 does real work), plus a row-lane chunk.
+/// An epoch drain with redundant-but-distinct strings (so LZ4 does real
+/// work), plus a second chunk at another entry operator.
 core::SourceEpochOutput MakeCompressibleDrain() {
   core::SourceEpochOutput out;
-  const Schema log_schema = Schema::Of(
-      {{"line", ValueType::kString}, {"code", ValueType::kInt64}});
   RecordBatch rows;
   for (int i = 0; i < 96; ++i) {
     rows.push_back(MakeRecord(
@@ -430,8 +358,7 @@ core::SourceEpochOutput MakeCompressibleDrain() {
                         "/profile HTTP/1.1 response_served_from=edge-cache",
         int64_t{200 + i % 3}));
   }
-  out.AppendDrainColumns(
-      0, ColumnarBatch::FromRows(std::move(rows), log_schema));
+  out.AppendDrainRows(0, std::move(rows));
   RecordBatch tail;
   for (int i = 0; i < 8; ++i) {
     tail.push_back(MakeRecord(Seconds(100 + i), int64_t{i}, 0.5 * i));
@@ -443,7 +370,6 @@ core::SourceEpochOutput MakeCompressibleDrain() {
 RecordBatch FlattenChunks(std::vector<core::DrainChunk>&& chunks) {
   RecordBatch rows;
   for (core::DrainChunk& c : chunks) {
-    c.columns.MoveToRows(&rows);
     for (Record& r : c.rows) rows.push_back(std::move(r));
     c.rows.clear();
   }
@@ -589,6 +515,72 @@ TEST(SerCorruptionTest, CompressedCheckpointFrameVerifiesEndToEnd) {
           << "flip at byte " << i << " bit " << bit << " validated";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lane byte 0 is not a lane: a frame whose header checksum is valid but whose
+// lane byte is 0 is corrupt at every entry point
+// ---------------------------------------------------------------------------
+
+/// A v1 row frame built field by field like the encoder builds it, with the
+/// header checksum computed over whatever lane byte is given.
+core::WireFrame RowFrameWithLane(uint8_t lane, const RecordBatch& rows) {
+  ser::BufferWriter payload;
+  SerializeBatch(rows, Schema(), &payload);
+  ser::BufferWriter w;
+  w.PutU8(core::kWireFrameVersion);
+  const size_t crc_pos = w.size();
+  w.PutU32(0);
+  const size_t header_start = w.size();
+  w.PutVarU64(0);  // seq
+  w.PutVarU64(0);  // entry_op
+  w.PutU8(lane);
+  w.PatchU32(crc_pos, ser::FrameChecksum(w.data().data() + header_start,
+                                         w.size() - header_start));
+  w.PutBytes(payload.data().data(), payload.size());
+  core::WireFrame f;
+  f.records = static_cast<uint32_t>(rows.size());
+  f.bytes = w.Release();
+  return f;
+}
+
+TEST(SerCorruptionTest, LaneZeroIsRejected) {
+  RecordBatch rows;
+  for (int i = 0; i < 6; ++i) {
+    rows.push_back(MakeRecord(Seconds(i), int64_t{i}, 0.25 * i));
+  }
+  auto plan = workloads::MakeS2SProbeQuery();
+  ASSERT_TRUE(plan.ok());
+  auto query = query::Compile(std::move(plan).value());
+  ASSERT_TRUE(query.ok());
+
+  // Control: the same frame on the rows lane is accepted everywhere.
+  const core::WireFrame good = RowFrameWithLane(1, rows);
+  ASSERT_TRUE(core::PeekFrameHeader(good).ok());
+  {
+    core::SpExecutor sp(*query, 1);
+    RecordBatch results;
+    auto d = sp.ConsumeFrame(0, good, &results);
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, core::FrameDisposition::kDelivered);
+  }
+
+  const core::WireFrame bad = RowFrameWithLane(0, rows);
+  EXPECT_EQ(core::PeekFrameHeader(bad).status().code(),
+            StatusCode::kSerializationError);
+  core::SpExecutor sp(*query, 1);
+  RecordBatch results;
+  auto d = sp.ConsumeFrame(0, bad, &results);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(*d, core::FrameDisposition::kCorrupt);
+  EXPECT_TRUE(results.empty());
+  EXPECT_EQ(sp.expected_seq(0), 0u);  // nothing consumed
+
+  core::WireDrain wire;
+  wire.frames.push_back(bad);
+  wire.frame_count = 1;
+  std::vector<core::DrainChunk> chunks;
+  EXPECT_FALSE(core::DecodeDrain(wire, &chunks).ok());
 }
 
 TEST(SerCorruptionTest, RandomMultiByteCorruptionIsSafe) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/sp_executor.h"
-#include "query/query_builder.h"
 #include "workloads/pingmesh.h"
 #include "workloads/queries.h"
 
@@ -128,72 +127,6 @@ TEST(SpExecutorTest, FlushEmitsRemainingState) {
   ASSERT_TRUE(results.empty());
   ASSERT_TRUE(sp.Flush(&results).ok());
   EXPECT_FALSE(results.empty());
-}
-
-SourceEpochOutput ColumnarEpoch(const stream::RecordBatch& records,
-                                size_t entry, Micros wm) {
-  SourceEpochOutput out;
-  stream::RecordBatch copy = records;
-  out.AppendDrainColumns(
-      entry, stream::ColumnarBatch::FromRows(
-                 std::move(copy), workloads::PingmeshGenerator::Schema()));
-  out.watermark = wm;
-  return out;
-}
-
-TEST(SpExecutorTest, ColumnarChunksMatchRowChunksOnStatefulQuery) {
-  // The S2S chain ends in G+R (no columnar path): a columnar chunk must
-  // regroup to rows at the Consume boundary and produce exactly the results
-  // of the equivalent row chunk.
-  query::CompiledQuery q = CompileS2S();
-  SpExecutor row_sp(q, 1), col_sp(q, 1);
-  ASSERT_TRUE(row_sp.Init().ok());
-  ASSERT_TRUE(col_sp.Init().ok());
-  stream::RecordBatch row_results, col_results;
-  const stream::RecordBatch probes = Probes(80, 0);
-  ASSERT_TRUE(
-      row_sp.Consume(0, RawEpoch(probes, Seconds(11)), &row_results).ok());
-  ASSERT_TRUE(
-      col_sp.Consume(0, ColumnarEpoch(probes, 0, Seconds(11)), &col_results)
-          .ok());
-  ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-  ASSERT_TRUE(col_sp.EndEpoch(&col_results).ok());
-  EXPECT_FALSE(row_results.empty());
-  EXPECT_EQ(col_results, row_results);
-}
-
-TEST(SpExecutorTest, ColumnarChunksStayColumnarOnStatelessSuffix) {
-  // A stateless chain (Window -> typed Filter -> Project) is fully columnar
-  // on the SP too: columnar chunks push through PushColumnar and the final
-  // results must be bit-identical to row-chunk consumption.
-  query::QueryBuilder builder(workloads::PingmeshGenerator::Schema());
-  builder.Window(Seconds(1)).FilterI64Eq("errCode", 0);
-  builder.Project({"srcIp", "dstIp", "rtt"});
-  auto plan = builder.Build();
-  ASSERT_TRUE(plan.ok());
-  auto compiled = query::Compile(std::move(plan).value());
-  ASSERT_TRUE(compiled.ok());
-
-  SpExecutor row_sp(*compiled, 1), col_sp(*compiled, 1);
-  ASSERT_TRUE(row_sp.Init().ok());
-  ASSERT_TRUE(col_sp.Init().ok());
-  stream::RecordBatch row_results, col_results;
-  const stream::RecordBatch probes = Probes(120, 0);
-  // Mixed entries: raw input at 0 plus a run resuming past the filter.
-  SourceEpochOutput row_out = RawEpoch(probes, Seconds(2));
-  SourceEpochOutput col_out = ColumnarEpoch(probes, 0, Seconds(2));
-  stream::RecordBatch tail = Probes(30, Seconds(1), 99);
-  for (stream::Record& r : tail) r.window_start = Seconds(1);
-  row_out.AppendDrainRows(2, stream::RecordBatch(tail));
-  col_out.AppendDrainColumns(
-      2, stream::ColumnarBatch::FromRows(
-             std::move(tail), workloads::PingmeshGenerator::Schema()));
-  ASSERT_TRUE(row_sp.Consume(0, std::move(row_out), &row_results).ok());
-  ASSERT_TRUE(col_sp.Consume(0, std::move(col_out), &col_results).ok());
-  ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-  ASSERT_TRUE(col_sp.EndEpoch(&col_results).ok());
-  EXPECT_FALSE(row_results.empty());
-  EXPECT_EQ(col_results, row_results);
 }
 
 TEST(SpExecutorTest, WatermarkNeverRegresses) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "workloads/cost_profiles.h"
 #include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
@@ -104,49 +106,6 @@ TEST(PingmeshTest, RecordStreamMatchesGroundTruthHelpers) {
   }
 }
 
-TEST(PingmeshTest, GenerateColumnarMatchesRowGenerate) {
-  // Column-born generation is the native ingest format; it must carry
-  // exactly the records of the row form — all dense, bit-identical.
-  PingmeshConfig cfg;
-  cfg.num_pairs = 120;
-  cfg.probe_interval = Seconds(2);
-  PingmeshGenerator gen(cfg);
-  stream::ColumnarBatch columns(PingmeshGenerator::Schema());
-  gen.GenerateColumnar(Seconds(1), Seconds(7), &columns);
-  EXPECT_EQ(columns.num_fallback(), 0u);
-  EXPECT_EQ(columns.num_rows(), columns.num_dense());
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(Seconds(1), Seconds(7)));
-}
-
-TEST(PingmeshTest, GenerateColumnarAppendsAcrossCalls) {
-  // Per-epoch calls into one reused batch concatenate (the executor's
-  // columnar ingest buffer relies on this).
-  PingmeshConfig cfg;
-  cfg.num_pairs = 30;
-  cfg.probe_interval = Seconds(1);
-  PingmeshGenerator gen(cfg);
-  stream::ColumnarBatch columns(PingmeshGenerator::Schema());
-  gen.GenerateColumnar(0, Seconds(1), &columns);
-  gen.GenerateColumnar(Seconds(1), Seconds(2), &columns);
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(0, Seconds(2)));
-}
-
-TEST(LogAnalyticsTest, GenerateColumnarMatchesRowGenerate) {
-  LogAnalyticsConfig cfg;
-  cfg.lines_per_sec = 700;
-  LogAnalyticsGenerator gen(cfg);
-  stream::ColumnarBatch columns(LogAnalyticsGenerator::Schema());
-  gen.GenerateColumnar(Seconds(3), Seconds(5), &columns);
-  EXPECT_EQ(columns.num_fallback(), 0u);
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(Seconds(3), Seconds(5)));
-}
-
 TEST(LogAnalyticsTest, LineRateRespected) {
   LogAnalyticsConfig cfg;
   cfg.lines_per_sec = 100;
@@ -184,6 +143,127 @@ TEST(LogAnalyticsTest, TenantsWithinRange) {
   for (uint64_t i = 0; i < 500; ++i) {
     EXPECT_GE(gen.LineTenant(i), 0);
     EXPECT_LT(gen.LineTenant(i), 7);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden generator output: record count and an FNV-1a hash of every record
+// (event time, window start, kind, and each field's type and bytes) for the
+// perfbench workload shapes: pingmesh at 200 and 1000 pairs with 1 s probes,
+// LogAnalytics at 600 lines/s over 8 tenants. The last interval of each seed
+// is off the probe grid. Any change to what Generate emits, or to the order
+// it emits it in, changes these numbers.
+// ---------------------------------------------------------------------------
+
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Mix(const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void I64(int64_t v) { Mix(&v, sizeof(v)); }
+};
+
+uint64_t HashRecords(const stream::RecordBatch& batch) {
+  Fnv1a f;
+  for (const stream::Record& r : batch) {
+    f.I64(r.event_time);
+    f.I64(r.window_start);
+    f.I64(static_cast<int64_t>(r.kind));
+    f.I64(static_cast<int64_t>(r.fields.size()));
+    for (const stream::Value& v : r.fields) {
+      f.I64(static_cast<int64_t>(v.index()));
+      if (const auto* i = std::get_if<int64_t>(&v)) {
+        f.I64(*i);
+      } else if (const auto* d = std::get_if<double>(&v)) {
+        int64_t bits;
+        std::memcpy(&bits, d, sizeof(bits));
+        f.I64(bits);
+      } else {
+        const std::string& str = std::get<std::string>(v);
+        f.I64(static_cast<int64_t>(str.size()));
+        f.Mix(str.data(), str.size());
+      }
+    }
+  }
+  return f.h;
+}
+
+TEST(PingmeshTest, GenerateMatchesGoldenFixture) {
+  struct Golden {
+    int64_t pairs;
+    uint64_t seed;
+    Micros from, to;
+    size_t count;
+    uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {200, 31, 0, 2000000, 400, 0x5eecb2ccd6330566ULL},
+      {200, 31, 7000000, 9000000, 400, 0xdc39a4dbce0fa0ebULL},
+      {200, 31, 1500000, 3250000, 400, 0xac23da5732395b85ULL},
+      {200, 32, 0, 2000000, 400, 0x0dc417cea28a4f22ULL},
+      {200, 32, 7000000, 9000000, 400, 0x4a0995b7816c198aULL},
+      {200, 32, 1500000, 3250000, 400, 0x82d6f6892b0aeb87ULL},
+      {200, 33, 0, 2000000, 400, 0x69a70ed9bf386920ULL},
+      {200, 33, 7000000, 9000000, 400, 0xa90188c3588e8a0dULL},
+      {200, 33, 1500000, 3250000, 400, 0x5661b21dc6707ff0ULL},
+      {1000, 31, 0, 2000000, 2000, 0x15bf3985b411ab2fULL},
+      {1000, 31, 7000000, 9000000, 2000, 0xd244e03d648ea665ULL},
+      {1000, 31, 1500000, 3250000, 2000, 0x02720f88376c8ca3ULL},
+      {1000, 32, 0, 2000000, 2000, 0x1193e2f2652ef708ULL},
+      {1000, 32, 7000000, 9000000, 2000, 0xf79aff206e2b6b7cULL},
+      {1000, 32, 1500000, 3250000, 2000, 0x92a7a6e4047d5d38ULL},
+      {1000, 33, 0, 2000000, 2000, 0x71cedbdb02638432ULL},
+      {1000, 33, 7000000, 9000000, 2000, 0x3b4ad15793865308ULL},
+      {1000, 33, 1500000, 3250000, 2000, 0xa64e1a5ae9d1bc40ULL},
+  };
+  for (const Golden& g : kGolden) {
+    PingmeshConfig cfg;
+    cfg.seed = g.seed;
+    cfg.source_ip = 1 + 3 * (g.pairs + 1);
+    cfg.num_pairs = g.pairs;
+    cfg.probe_interval = Seconds(1);
+    PingmeshGenerator gen(cfg);
+    const stream::RecordBatch batch = gen.Generate(g.from, g.to);
+    EXPECT_EQ(batch.size(), g.count)
+        << g.pairs << " pairs, seed " << g.seed << ", from " << g.from;
+    EXPECT_EQ(HashRecords(batch), g.hash)
+        << g.pairs << " pairs, seed " << g.seed << ", from " << g.from;
+  }
+}
+
+TEST(LogAnalyticsTest, GenerateMatchesGoldenFixture) {
+  struct Golden {
+    uint64_t seed;
+    Micros from, to;
+    size_t count;
+    uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {31, 0, 2000000, 1200, 0x59556d08c2d9426dULL},
+      {31, 7000000, 9000000, 1200, 0x0a18c580e32a9300ULL},
+      {31, 1500000, 3250000, 1050, 0x9d7729026f22235dULL},
+      {32, 0, 2000000, 1200, 0x13be325c2c1ef217ULL},
+      {32, 7000000, 9000000, 1200, 0x4f2e3aacd9c92f63ULL},
+      {32, 1500000, 3250000, 1050, 0x00564f851907d688ULL},
+      {33, 0, 2000000, 1200, 0x9a0d377f697f1a9bULL},
+      {33, 7000000, 9000000, 1200, 0x72da3c94839a42a7ULL},
+      {33, 1500000, 3250000, 1050, 0x31395151e5ad6158ULL},
+  };
+  for (const Golden& g : kGolden) {
+    LogAnalyticsConfig cfg;
+    cfg.seed = g.seed;
+    cfg.lines_per_sec = 600;
+    cfg.num_tenants = 8;
+    LogAnalyticsGenerator gen(cfg);
+    const stream::RecordBatch batch = gen.Generate(g.from, g.to);
+    EXPECT_EQ(batch.size(), g.count)
+        << "seed " << g.seed << ", from " << g.from;
+    EXPECT_EQ(HashRecords(batch), g.hash)
+        << "seed " << g.seed << ", from " << g.from;
   }
 }
 
