@@ -1,10 +1,8 @@
-// fig12: data-plane microbenchmark — batch-at-a-time vs record-at-a-time,
-// measured in the same binary so the speedup is attributable to the batch
-// API and the schema-elided wire format, not compiler or flag drift.
+// fig12: data-plane wire microbenchmark, measured in the same binary so a
+// difference is attributable to the wire format and codec, not compiler or
+// flag drift.
 //
 // Sections:
-//   (a) per-operator micro-throughput: Process loop vs ProcessBatch
-//   (b) stateless pipeline push: Pipeline::Push vs Pipeline::PushBatch
 //   (c) wire format: per-record SerializeRecord/DeserializeRecord vs
 //       SerializeBatch/DeserializeBatch (MB/s of record-format payload
 //       bytes, so both paths are normalized to the same data volume)
@@ -12,10 +10,12 @@
 //       compressed bytes per record on numeric and log-text drains, codec
 //       throughput, SP decode-worker scaling, and the measured wire ratios
 //       fed to the LP's bandwidth term.
+// (Sections (a) and (b), which timed record-at-a-time operators and
+// pipelines against batches, went with the record-at-a-time paths; the
+// remaining sections keep their letters so old outputs stay comparable.)
 //
-// Output lines are machine-parseable ("op ...", "pipeline ...", "wire ...",
-// "wire_compress ..."); scripts/run_benches.sh folds them into the
-// BENCH_<label>.json snapshot.
+// Output lines are machine-parseable ("wire ...", "wire_compress ...");
+// scripts/run_benches.sh folds them into the BENCH_<label>.json snapshot.
 //
 // Usage: fig12_dataplane [--smoke] [--wire]
 //   --smoke     1 tiny trial, for CI
@@ -40,11 +40,6 @@
 #include "query/compile.h"
 #include "query/query_builder.h"
 #include "ser/buffer.h"
-#include "stream/group_aggregate.h"
-#include "stream/join.h"
-#include "stream/ops.h"
-#include "stream/pipeline.h"
-#include "stream/predicate.h"
 #include "stream/record.h"
 #include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
@@ -53,22 +48,10 @@
 namespace {
 
 using namespace jarvis;
-using stream::AggKind;
-using stream::CmpOp;
-using stream::FilterOp;
-using stream::GroupAggregateOp;
-using stream::JoinOp;
-using stream::MapOp;
-using stream::Operator;
-using stream::Pipeline;
-using stream::ProjectOp;
 using stream::Record;
 using stream::RecordBatch;
 using stream::Schema;
-using stream::StaticTable;
-using stream::Value;
 using stream::ValueType;
-using stream::WindowOp;
 
 struct Config {
   size_t records = 200000;
@@ -153,123 +136,6 @@ std::vector<RecordBatch> Slice(RecordBatch&& input, size_t batch_size) {
   }
   if (!chunk.empty()) chunks.push_back(std::move(chunk));
   return chunks;
-}
-
-/// Per-path times are the *best* trial (min), which rejects scheduler and
-/// frequency noise on shared machines; both paths see identical data.
-struct PathResult {
-  double record_s = 1e300;
-  double batch_s = 1e300;
-  size_t records = 0;
-};
-
-/// Times `records` through one freshly made operator per path per trial; the
-/// same generated data is fed to both paths.
-PathResult BenchOperator(
-    const std::function<std::unique_ptr<Operator>()>& make, Rng* rng,
-    const Config& cfg, bool windowed) {
-  PathResult res;
-  for (int t = 0; t < cfg.trials; ++t) {
-    RecordBatch input = MakeInput(rng, cfg.records, windowed);
-    RecordBatch input_copy = input;
-
-    auto op_a = make();
-    op_a->set_byte_accounting(false);  // steady-state (non-profile) config
-    RecordBatch out;
-    out.reserve(input.size());
-    double t0 = NowSeconds();
-    for (Record& r : input) {
-      if (!op_a->Process(std::move(r), &out).ok()) std::abort();
-    }
-    res.record_s = std::min(res.record_s, NowSeconds() - t0);
-    // Flush stateful operators outside the timed region.
-    out.clear();
-    (void)op_a->OnWatermark(Seconds(1e9), &out);
-
-    auto op_b = make();
-    op_b->set_byte_accounting(false);
-    std::vector<RecordBatch> chunks =
-        Slice(std::move(input_copy), cfg.batch_size);
-    out.clear();
-    out.reserve(cfg.records);
-    t0 = NowSeconds();
-    for (RecordBatch& chunk : chunks) {
-      if (op_b->HasInPlaceBatch()) {
-        if (!op_b->ProcessBatchInPlace(&chunk).ok()) std::abort();
-        MoveAppend(std::move(chunk), &out);
-      } else if (!op_b->ProcessBatch(std::move(chunk), &out).ok()) {
-        std::abort();
-      }
-    }
-    res.batch_s = std::min(res.batch_s, NowSeconds() - t0);
-    out.clear();
-    (void)op_b->OnWatermark(Seconds(1e9), &out);
-
-    res.records = cfg.records;
-  }
-  return res;
-}
-
-void PrintRps(const char* prefix, const char* name, const PathResult& r) {
-  const double rec_rps = static_cast<double>(r.records) / r.record_s;
-  const double bat_rps = static_cast<double>(r.records) / r.batch_s;
-  std::printf("%s %s record_rps %.6g batch_rps %.6g speedup %.2f\n", prefix,
-              name, rec_rps, bat_rps, rec_rps > 0 ? bat_rps / rec_rps : 0.0);
-}
-
-std::unique_ptr<Pipeline> MakeStatelessPipeline() {
-  const Schema schema = ProbeSchema();
-  auto pipe = std::make_unique<Pipeline>();
-  pipe->Add(std::make_unique<WindowOp>("window", schema, Seconds(1)));
-  pipe->Add(std::make_unique<FilterOp>("filter_src", schema,
-                                       [](const Record& r) {
-                                         return r.i64(0) % 4 != 0;  // ~75%
-                                       }));
-  pipe->Add(std::make_unique<FilterOp>("filter_rtt", schema,
-                                       [](const Record& r) {
-                                         return r.f64(2) < 30.0;  // ~75%
-                                       }));
-  pipe->Add(std::make_unique<ProjectOp>("project", schema,
-                                        std::vector<size_t>{0, 1, 2}));
-  return pipe;
-}
-
-/// Per-path byte accounting: the seed data plane always walked WireSize per
-/// record (there was no toggle), so the "before this PR" configuration is
-/// record-at-a-time with accounting on; the shipped steady state is
-/// batch-at-a-time with accounting off (profiling epochs turn it back on).
-void BenchPipeline(Rng* rng, const Config& cfg, bool record_accounting,
-                   bool batch_accounting, const char* label) {
-  PathResult res;
-  for (int t = 0; t < cfg.trials; ++t) {
-    RecordBatch input = MakeInput(rng, cfg.records, false);
-    RecordBatch input_copy = input;
-
-    auto pipe_a = MakeStatelessPipeline();
-    pipe_a->SetByteAccounting(record_accounting);
-    RecordBatch out;
-    out.reserve(input.size());
-    double t0 = NowSeconds();
-    for (Record& r : input) {
-      if (!pipe_a->Push(std::move(r), &out).ok()) std::abort();
-    }
-    res.record_s = std::min(res.record_s, NowSeconds() - t0);
-
-    auto pipe_b = MakeStatelessPipeline();
-    pipe_b->SetByteAccounting(batch_accounting);
-    std::vector<RecordBatch> chunks =
-        Slice(std::move(input_copy), cfg.batch_size);
-    out.clear();
-    out.reserve(cfg.records);
-    t0 = NowSeconds();
-    for (RecordBatch& chunk : chunks) {
-      if (!pipe_b->PushBatch(std::move(chunk), &out).ok()) std::abort();
-    }
-    res.batch_s = std::min(res.batch_s, NowSeconds() - t0);
-
-    res.records = cfg.records;
-  }
-  PrintRps("pipeline", label, res);
 }
 
 // Both paths ship drain batches of cfg.batch_size records (the real drain
@@ -611,7 +477,7 @@ int main(int argc, char** argv) {
   Rng rng(20220707);
 
   bench::PrintHeader(
-      "fig12: batch-at-a-time data plane vs record-at-a-time (same build)");
+      "fig12: data-plane wire format and compression (same build)");
   std::printf("records/trial %zu  batch_size %zu  trials %d\n\n",
               cfg.records, cfg.batch_size, cfg.trials);
 
@@ -620,59 +486,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("(a) operator micro-throughput (records/sec)\n");
-  const Schema schema = ProbeSchema();
-  PrintRps("op", "Window", BenchOperator([&] {
-    return std::make_unique<WindowOp>("w", schema, Seconds(1));
-  }, &rng, cfg, false));
-  PrintRps("op", "Filter", BenchOperator([&] {
-    return std::make_unique<FilterOp>("f", schema, [](const Record& r) {
-      return r.i64(0) % 4 != 0;
-    });
-  }, &rng, cfg, false));
-  PrintRps("op", "Map", BenchOperator([&] {
-    return std::make_unique<MapOp>("m", schema,
-                                   [](Record&& r, RecordBatch* out) {
-                                     r.fields[2] = Value(
-                                         std::get<double>(r.fields[2]) * 2.0);
-                                     out->push_back(std::move(r));
-                                     return Status::OK();
-                                   });
-  }, &rng, cfg, false));
-  PrintRps("op", "Project", BenchOperator([&] {
-    return std::make_unique<ProjectOp>("p", schema,
-                                       std::vector<size_t>{0, 1, 2});
-  }, &rng, cfg, false));
-  auto table = std::make_shared<StaticTable>(
-      "dst", Schema::Field{"tor", ValueType::kInt64});
-  for (int64_t k = 0; k < 1024; ++k) table->Insert(k, Value(k / 40));
-  PrintRps("op", "Join", BenchOperator([&] {
-    return std::make_unique<JoinOp>("j", schema, table, 1);
-  }, &rng, cfg, false));
-  PrintRps("op", "GroupAggregate", BenchOperator([&] {
-    return std::make_unique<GroupAggregateOp>(
-        "g", schema, std::vector<size_t>{0},
-        std::vector<stream::AggSpec>{{AggKind::kCount, 0, "cnt"},
-                                     {AggKind::kAvg, 2, "avg_rtt"}},
-        Seconds(1), /*emit_partials=*/false);
-  }, &rng, cfg, true));
-
   std::printf(
-      "\n(b) stateless pipeline push (Window -> 2x Filter -> Project)\n"
-      "    stateless:          seed config (record-at-a-time, byte stats "
-      "always on)\n"
-      "                        vs shipped steady state (batch, byte stats "
-      "off)\n"
-      "    stateless_api:      batch API effect alone (byte stats off on "
-      "both)\n"
-      "    stateless_profiled: profiling epochs (byte stats on on both)\n");
-  BenchPipeline(&rng, cfg, /*record_accounting=*/true,
-                /*batch_accounting=*/false, "stateless");
-  BenchPipeline(&rng, cfg, false, false, "stateless_api");
-  BenchPipeline(&rng, cfg, true, true, "stateless_profiled");
-
-  std::printf(
-      "\n(c) wire format: schema-elided batch vs per-record "
+      "(c) wire format: schema-elided batch vs per-record "
       "(MB/s of record-format payload)\n");
   BenchWireFormat(&rng, cfg, NumericProbeSchema(), /*numeric=*/true, "");
   BenchWireFormat(&rng, cfg, ProbeSchema(), /*numeric=*/false, "_str");

@@ -50,7 +50,7 @@ echo "== latency_bench (Section VI-E: epoch latency under load) =="
 "${BUILD_DIR}/bench/latency_bench" | tee "${RESULTS_DIR}/latency.txt"
 
 echo
-echo "== fig12_dataplane (batch vs record-at-a-time data plane) =="
+echo "== fig12_dataplane (wire format and LZ4 drain wire) =="
 "${BUILD_DIR}/bench/fig12_dataplane" | tee "${RESULTS_DIR}/fig12.txt"
 
 echo
@@ -102,12 +102,11 @@ def parse_fig7(text):
     return queries
 
 def parse_fig12(text):
-    """Machine-parseable rows: 'op <Name> record_rps X batch_rps Y speedup Z',
-    'pipeline <label> ...', 'wire <what> record_mbps X batch_mbps Y speedup Z',
+    """Machine-parseable rows:
+    'wire <what> record_mbps X batch_mbps Y speedup Z',
     'wire bytes_per_record[<suffix>] record X batch Y ratio Z', and
     'wire_compress <section> k1 v1 k2 v2 ...'."""
-    data = {"operator_rps": {}, "pipeline_rps": {}, "wire_mbps": {},
-            "wire_bytes_per_record": {}, "wire_compress": {}}
+    data = {"wire_mbps": {}, "wire_bytes_per_record": {}, "wire_compress": {}}
     for line in text.splitlines():
         # 'wire_compress <section> k1 v1 k2 v2 ...' (lp_wire_ratio spreads
         # one op per line; merge them into one dict).
@@ -120,15 +119,6 @@ def parse_fig12(text):
             except ValueError:
                 continue  # the section banner, not a data row
             data["wire_compress"].setdefault(m.group(1), {}).update(vals)
-            continue
-        m = re.match(
-            r"(op|pipeline)\s+(\S+)\s+record_rps\s+(\S+)\s+batch_rps\s+(\S+)"
-            r"\s+speedup\s+(\S+)", line)
-        if m:
-            key = "operator_rps" if m.group(1) == "op" else "pipeline_rps"
-            data[key][m.group(2)] = {
-                "record": float(m.group(3)), "batch": float(m.group(4)),
-                "speedup": float(m.group(5))}
             continue
         m = re.match(
             r"wire\s+(serialize\S*|deserialize\S*)\s+record_mbps\s+(\S+)"
@@ -247,8 +237,7 @@ sanity = snapshot["fig7_throughput_mbps"]
 assert sanity and all(sanity.values()), "fig7 parse produced no data"
 assert snapshot["latency"], "latency parse produced no data"
 dp = snapshot["dataplane"]
-assert dp["operator_rps"] and dp["pipeline_rps"] and dp["wire_mbps"], \
-    "fig12 parse produced no data"
+assert dp["wire_mbps"], "fig12 parse produced no data"
 wc = dp["wire_compress"]
 for section in ("numeric", "loganalytics_str", "sp_decode_scaling",
                 "lp_wire_ratio"):

@@ -148,18 +148,9 @@ Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
   // exactly as with the old per-record loop, so nothing observable changes.
   stage_input_.clear();
   queue.TakeFront(n, &stage_input_);
-  stream::Operator& op = pipeline_->op(i);
-  if (op.HasInPlaceBatch()) {
-    JARVIS_RETURN_IF_ERROR(op.ProcessBatchInPlace(&stage_input_));
-    proxy.CountProcessed(n);
-    RouteOutputs(i, std::move(stage_input_), out);
-    return Status::OK();
-  }
-  stage_emitted_.clear();
-  JARVIS_RETURN_IF_ERROR(
-      pipeline_->op(i).ProcessBatch(std::move(stage_input_), &stage_emitted_));
+  JARVIS_RETURN_IF_ERROR(pipeline_->op(i).Process(&stage_input_));
   proxy.CountProcessed(n);
-  RouteOutputs(i, std::move(stage_emitted_), out);
+  RouteOutputs(i, std::move(stage_input_), out);
   return Status::OK();
 }
 
@@ -170,23 +161,6 @@ void SourceExecutor::DrainPendingStage(size_t i, SourceEpochOutput* out) {
   queue.TakeFront(queue.size(), &drained_scratch_);
   DrainBatch(i, std::move(drained_scratch_), out);
   drained_scratch_.clear();
-}
-
-Result<SourceEpochOutput> SourceExecutor::Checkpoint(Micros watermark) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  SourceEpochOutput out;
-  out.watermark = watermark;
-  // Pending (unprocessed) records resume at their own operator.
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    DrainPendingStage(i, &out);
-  }
-  // Accumulated operator state merges into the replicated operator.
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    stream::RecordBatch state;
-    JARVIS_RETURN_IF_ERROR(pipeline_->op(i).ExportPartialState(&state));
-    DrainBatch(i, std::move(state), &out);
-  }
-  return out;
 }
 
 Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,

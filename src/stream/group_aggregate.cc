@@ -256,31 +256,15 @@ Status GroupAggregateOp::MergeFromPartial(const Record& rec,
   return Status::OK();
 }
 
-Status GroupAggregateOp::DoProcess(Record&& rec, RecordBatch* out) {
-  (void)out;  // G+R emits on window close, not per record.
+Status GroupAggregateOp::DoProcess(RecordBatch* batch) {
   WindowCursor cursor;
-  if (rec.kind == RecordKind::kPartial) return MergeFromPartial(rec, &cursor);
-  return UpdateFromData(rec, &cursor);
-}
-
-Status GroupAggregateOp::DoProcessBatch(RecordBatch&& batch,
-                                        RecordBatch* out) {
-  (void)out;  // G+R emits on window close, not per record.
-  WindowCursor cursor;
-  for (const Record& rec : batch) {
+  for (const Record& rec : *batch) {
     if (rec.kind == RecordKind::kPartial) {
       JARVIS_RETURN_IF_ERROR(MergeFromPartial(rec, &cursor));
     } else {
       JARVIS_RETURN_IF_ERROR(UpdateFromData(rec, &cursor));
     }
   }
-  return Status::OK();
-}
-
-Status GroupAggregateOp::DoProcessBatchInPlace(RecordBatch* batch) {
-  // G+R consumes the whole batch into accumulator state; nothing flows on.
-  RecordBatch sink;
-  JARVIS_RETURN_IF_ERROR(DoProcessBatch(std::move(*batch), &sink));
   batch->clear();
   return Status::OK();
 }

@@ -44,7 +44,6 @@ class GroupAggregateOp : public Operator {
 
   OpKind kind() const override { return OpKind::kGroupAggregate; }
   bool IsStateful() const override { return true; }
-  bool HasInPlaceBatch() const override { return true; }
 
   Status OnWatermark(Micros wm, RecordBatch* out) override;
   Status ExportPartialState(RecordBatch* out) override;
@@ -67,9 +66,9 @@ class GroupAggregateOp : public Operator {
   size_t open_windows() const { return windows_.size(); }
 
  protected:
-  Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  /// Consumes the whole batch into accumulator state, then clears it:
+  /// G+R emits on window close, not per record.
+  Status DoProcess(RecordBatch* batch) override;
 
  private:
   /// Mergeable accumulator: enough to finalize any AggKind.
@@ -127,7 +126,7 @@ class GroupAggregateOp : public Operator {
     std::vector<Slot> slots_;  // power-of-two size, at most half full
   };
 
-  /// Per-record cursor the batch path threads through consecutive records:
+  /// Per-record cursor DoProcess threads through consecutive records:
   /// the window map is looked up once per run of same-window records, not
   /// once per record.
   struct WindowCursor {

@@ -11,37 +11,7 @@ JoinOp::JoinOp(std::string name, const Schema& input_schema,
       table_(std::move(table)),
       stream_key_field_(stream_key_field) {}
 
-Status JoinOp::JoinOne(Record&& rec, RecordBatch* out) {
-  if (rec.kind == RecordKind::kPartial) {
-    out->push_back(std::move(rec));
-    return Status::OK();
-  }
-  if (stream_key_field_ >= rec.fields.size()) {
-    return Status::OutOfRange("join key index out of range");
-  }
-  const Value* v = table_->Find(rec.i64(stream_key_field_));
-  if (v == nullptr) {
-    misses_ += 1;
-    return Status::OK();
-  }
-  rec.fields.push_back(*v);
-  out->push_back(std::move(rec));
-  return Status::OK();
-}
-
-Status JoinOp::DoProcess(Record&& rec, RecordBatch* out) {
-  return JoinOne(std::move(rec), out);
-}
-
-Status JoinOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    JARVIS_RETURN_IF_ERROR(JoinOne(std::move(rec), out));
-  }
-  return Status::OK();
-}
-
-Status JoinOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status JoinOp::DoProcess(RecordBatch* batch) {
   // Stable compaction over table misses; hits grow by the table value.
   size_t w = 0;
   for (size_t r = 0; r < batch->size(); ++r) {

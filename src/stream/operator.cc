@@ -22,30 +22,11 @@ std::string_view OpKindToString(OpKind kind) {
   return "Unknown";
 }
 
-Status Operator::Process(Record&& rec, RecordBatch* out) {
-  stats_.records_in += 1;
-  if (count_bytes_) stats_.bytes_in += WireSize(rec);
-  const size_t first = out->size();
-  JARVIS_RETURN_IF_ERROR(DoProcess(std::move(rec), out));
-  CountOutputs(*out, first);
-  return Status::OK();
-}
-
-Status Operator::ProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  stats_.records_in += batch.size();
-  if (count_bytes_) stats_.bytes_in += BatchBytes(batch);
-  const size_t first = out->size();
-  JARVIS_RETURN_IF_ERROR(DoProcessBatch(std::move(batch), out));
-  CountOutputs(*out, first);
-  return Status::OK();
-}
-
-Status Operator::ProcessBatchInPlace(RecordBatch* batch) {
+Status Operator::Process(RecordBatch* batch) {
   stats_.records_in += batch->size();
   if (count_bytes_) stats_.bytes_in += BatchBytes(*batch);
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(batch));
-  stats_.records_out += batch->size();
-  if (count_bytes_) stats_.bytes_out += BatchBytes(*batch);
+  JARVIS_RETURN_IF_ERROR(DoProcess(batch));
+  CountOutputs(*batch, 0);
   return Status::OK();
 }
 

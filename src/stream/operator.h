@@ -58,11 +58,11 @@ struct OperatorStats {
   }
 };
 
-/// Base class for all stream operators. The hot path is batch-at-a-time
-/// (ProcessBatch); control proxies apportion whole record runs between the
-/// local copy and the replicated copy on the stream processor, so batching
-/// does not change what the control plane can express. Process remains as
-/// the record-at-a-time compatibility path.
+/// Base class for all stream operators. Operators only ever see batches:
+/// control proxies apportion whole record runs between the local copy and
+/// the replicated copy on the stream processor, so batching does not change
+/// what the control plane can express. Process is the one way to run an
+/// operator: it rewrites a batch in place.
 class Operator {
  public:
   Operator(std::string name, Schema output_schema)
@@ -74,23 +74,9 @@ class Operator {
 
   virtual OpKind kind() const = 0;
 
-  /// Processes one record, appending any outputs to `out`. Updates stats.
-  Status Process(Record&& rec, RecordBatch* out);
-
-  /// Processes a whole batch, appending outputs to `out` in order. Produces
-  /// exactly the outputs and stats of calling Process on each record in
-  /// order, but with one stats pass and (for operators that override
-  /// DoProcessBatch) no per-record virtual dispatch.
-  Status ProcessBatch(RecordBatch&& batch, RecordBatch* out);
-
-  /// True when this operator can rewrite a batch in place (1:1 transforms,
-  /// in-place compaction, or full consumption). In-place stages cost zero
-  /// inter-stage record moves in Pipeline::PushBatch.
-  virtual bool HasInPlaceBatch() const { return false; }
-
-  /// Rewrites `batch` in place; only valid when HasInPlaceBatch(). Output
-  /// records (and stats) are identical to the copying paths.
-  Status ProcessBatchInPlace(RecordBatch* batch);
+  /// Runs the operator over `batch`; on return the batch holds the outputs,
+  /// in order. One stats pass over the input and one over the outputs.
+  Status Process(RecordBatch* batch);
 
   /// Toggles byte-level stats accounting (records are always counted).
   /// Walking every record's WireSize costs more than most operators
@@ -146,22 +132,10 @@ class Operator {
   void ResetStats() { stats_.Reset(); }
 
  protected:
-  virtual Status DoProcess(Record&& rec, RecordBatch* out) = 0;
-
-  /// Batch hook with a per-record fallback; operators with tight-loop
-  /// implementations (Filter, Project, GroupAggregate, ...) override this.
-  virtual Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-    for (Record& rec : batch) {
-      JARVIS_RETURN_IF_ERROR(DoProcess(std::move(rec), out));
-    }
-    return Status::OK();
-  }
-
-  /// In-place hook; implemented by operators that report HasInPlaceBatch().
-  virtual Status DoProcessBatchInPlace(RecordBatch* batch) {
-    (void)batch;
-    return Status::Internal("operator has no in-place batch path");
-  }
+  /// Rewrites `batch` into this operator's outputs: 1:1 transforms and
+  /// compactions work where the records sit, consumers clear the batch,
+  /// expanding operators append into it.
+  virtual Status DoProcess(RecordBatch* batch) = 0;
 
   /// Lets subclasses account records emitted from OnWatermark /
   /// ExportPartialState in the output-side stats.

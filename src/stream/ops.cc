@@ -7,18 +7,7 @@ namespace jarvis::stream {
 WindowOp::WindowOp(std::string name, Schema schema, Micros width)
     : Operator(std::move(name), std::move(schema)), width_(width) {}
 
-Status WindowOp::DoProcess(Record&& rec, RecordBatch* out) {
-  if (width_ <= 0) {
-    return Status::InvalidArgument("window width must be positive");
-  }
-  if (rec.kind == RecordKind::kData) {
-    rec.window_start = rec.event_time - (rec.event_time % width_);
-  }
-  out->push_back(std::move(rec));
-  return Status::OK();
-}
-
-Status WindowOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status WindowOp::DoProcess(RecordBatch* batch) {
   if (width_ <= 0) {
     return Status::InvalidArgument("window width must be positive");
   }
@@ -27,12 +16,6 @@ Status WindowOp::DoProcessBatchInPlace(RecordBatch* batch) {
       rec.window_start = rec.event_time - (rec.event_time % width_);
     }
   }
-  return Status::OK();
-}
-
-Status WindowOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
-  MoveAppend(std::move(batch), out);
   return Status::OK();
 }
 
@@ -94,14 +77,7 @@ FilterOp::FilterOp(std::string name, Schema schema, TypedPredicate pred)
         return EvalPredicate(p, r);
       }) {}
 
-Status FilterOp::DoProcess(Record&& rec, RecordBatch* out) {
-  if (rec.kind == RecordKind::kPartial || pred_(rec)) {
-    out->push_back(std::move(rec));
-  }
-  return Status::OK();
-}
-
-Status FilterOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status FilterOp::DoProcess(RecordBatch* batch) {
   // Stable in-place compaction: survivors slide down over dropped slots.
   size_t w = 0;
   for (size_t r = 0; r < batch->size(); ++r) {
@@ -115,38 +91,24 @@ Status FilterOp::DoProcessBatchInPlace(RecordBatch* batch) {
   return Status::OK();
 }
 
-Status FilterOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    if (rec.kind == RecordKind::kPartial || pred_(rec)) {
-      out->push_back(std::move(rec));
-    }
-  }
-  return Status::OK();
-}
-
 MapOp::MapOp(std::string name, Schema output_schema, MapFn fn)
     : Operator(std::move(name), std::move(output_schema)),
       fn_(std::move(fn)) {}
 
-Status MapOp::MapOne(Record&& rec, RecordBatch* out) {
-  if (rec.kind == RecordKind::kPartial) {
-    out->push_back(std::move(rec));
-    return Status::OK();
+Status MapOp::DoProcess(RecordBatch* batch) {
+  std::swap(*batch, input_scratch_);  // the scratch was left empty
+  GrowForAppend(batch, input_scratch_.size());
+  Status status;
+  for (Record& rec : input_scratch_) {
+    if (rec.kind == RecordKind::kPartial) {
+      batch->push_back(std::move(rec));
+      continue;
+    }
+    status = fn_(std::move(rec), batch);
+    if (!status.ok()) break;
   }
-  return fn_(std::move(rec), out);
-}
-
-Status MapOp::DoProcess(Record&& rec, RecordBatch* out) {
-  return MapOne(std::move(rec), out);
-}
-
-Status MapOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    JARVIS_RETURN_IF_ERROR(MapOne(std::move(rec), out));
-  }
-  return Status::OK();
+  input_scratch_.clear();
+  return status;
 }
 
 ProjectOp::ProjectOp(std::string name, const Schema& input_schema,
@@ -154,31 +116,7 @@ ProjectOp::ProjectOp(std::string name, const Schema& input_schema,
     : Operator(std::move(name), input_schema.Select(keep)),
       keep_(std::move(keep)) {}
 
-Status ProjectOp::ProjectOne(Record&& rec, RecordBatch* out) {
-  if (rec.kind == RecordKind::kPartial) {
-    out->push_back(std::move(rec));
-    return Status::OK();
-  }
-  Record projected;
-  projected.event_time = rec.event_time;
-  projected.window_start = rec.window_start;
-  projected.kind = rec.kind;
-  projected.fields.reserve(keep_.size());
-  for (size_t i : keep_) {
-    if (i >= rec.fields.size()) {
-      return Status::OutOfRange("project index out of range");
-    }
-    projected.fields.push_back(std::move(rec.fields[i]));
-  }
-  out->push_back(std::move(projected));
-  return Status::OK();
-}
-
-Status ProjectOp::DoProcess(Record&& rec, RecordBatch* out) {
-  return ProjectOne(std::move(rec), out);
-}
-
-Status ProjectOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status ProjectOp::DoProcess(RecordBatch* batch) {
   // The scratch vector and each record's field vector swap roles every
   // iteration, so the steady state allocates nothing: a record's projected
   // fields land in the buffer freed by the previous record.
@@ -193,12 +131,6 @@ Status ProjectOp::DoProcessBatchInPlace(RecordBatch* batch) {
     }
     std::swap(rec.fields, field_scratch_);
   }
-  return Status::OK();
-}
-
-Status ProjectOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
-  MoveAppend(std::move(batch), out);
   return Status::OK();
 }
 

@@ -20,7 +20,6 @@ class WindowOp : public Operator {
 
   OpKind kind() const override { return OpKind::kWindow; }
   Micros width() const { return width_; }
-  bool HasInPlaceBatch() const override { return true; }
 
   /// The stamper holds no record state; a full export carries the window
   /// width as a config guard so restore onto a differently-shaped plan is
@@ -29,9 +28,7 @@ class WindowOp : public Operator {
   Status RestoreState(ser::BufferReader* r) override;
 
  protected:
-  Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcess(RecordBatch* batch) override;
 
  private:
   Micros width_;
@@ -53,19 +50,18 @@ class FilterOp : public Operator {
   FilterOp(std::string name, Schema schema, TypedPredicate pred);
 
   OpKind kind() const override { return OpKind::kFilter; }
-  bool HasInPlaceBatch() const override { return true; }
 
  protected:
-  Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcess(RecordBatch* batch) override;
 
  private:
   Predicate pred_;
 };
 
 /// Stateless 1->N transform (parsing, splitting, bucketizing...). The
-/// function may emit zero or more records into `out`.
+/// function may emit zero or more records into `out`. The only expanding
+/// operator: it swaps its input into a scratch batch and `fn_` appends back
+/// into the caller's batch, so the steady state allocates nothing.
 class MapOp : public Operator {
  public:
   using MapFn = std::function<Status(Record&&, RecordBatch*)>;
@@ -75,14 +71,11 @@ class MapOp : public Operator {
   OpKind kind() const override { return OpKind::kMap; }
 
  protected:
-  Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
+  Status DoProcess(RecordBatch* batch) override;
 
  private:
-  /// Non-virtual per-record body shared by both process paths.
-  Status MapOne(Record&& rec, RecordBatch* out);
-
   MapFn fn_;
+  RecordBatch input_scratch_;  // holds the input while fn_ refills the batch
 };
 
 /// Keeps only the given field indices (in the given order).
@@ -92,17 +85,11 @@ class ProjectOp : public Operator {
             std::vector<size_t> keep);
 
   OpKind kind() const override { return OpKind::kProject; }
-  bool HasInPlaceBatch() const override { return true; }
 
  protected:
-  Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcess(RecordBatch* batch) override;
 
  private:
-  /// Non-virtual per-record body shared by both process paths.
-  Status ProjectOne(Record&& rec, RecordBatch* out);
-
   std::vector<size_t> keep_;
   std::vector<Value> field_scratch_;  // in-place projection swap buffer
 };

@@ -2,63 +2,26 @@
 
 namespace jarvis::stream {
 
-Status Pipeline::Push(Record&& rec, RecordBatch* out) {
-  return PushFrom(0, std::move(rec), out);
-}
-
-Status Pipeline::PushFrom(size_t start, Record&& rec, RecordBatch* out) {
-  if (start >= ops_.size()) {
-    out->push_back(std::move(rec));
-    return Status::OK();
-  }
-  RecordBatch current;
-  JARVIS_RETURN_IF_ERROR(ops_[start]->Process(std::move(rec), &current));
-  for (size_t i = start + 1; i < ops_.size() && !current.empty(); ++i) {
-    RecordBatch next;
-    for (Record& r : current) {
-      JARVIS_RETURN_IF_ERROR(ops_[i]->Process(std::move(r), &next));
-    }
-    current = std::move(next);
-  }
-  MoveAppend(std::move(current), out);
-  return Status::OK();
-}
-
 Status Pipeline::PushBatch(RecordBatch&& batch, RecordBatch* out) {
   return PushBatchFrom(0, std::move(batch), out);
 }
 
 Status Pipeline::PushBatchFrom(size_t start, RecordBatch&& batch,
                                RecordBatch* out) {
-  // `cur` starts as the caller's batch: in-place stages rewrite it where it
-  // sits (zero record moves); only expanding stages (Map, per-record
-  // fallbacks) hop to a ping-pong scratch batch.
-  RecordBatch* cur = &batch;
-  for (size_t i = start; i < ops_.size() && !cur->empty(); ++i) {
-    if (ops_[i]->HasInPlaceBatch()) {
-      JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessBatchInPlace(cur));
-    } else {
-      RecordBatch* next = (cur == &ping_) ? &pong_ : &ping_;
-      next->clear();
-      JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessBatch(std::move(*cur), next));
-      cur = next;
-    }
+  for (size_t i = start; i < ops_.size() && !batch.empty(); ++i) {
+    JARVIS_RETURN_IF_ERROR(ops_[i]->Process(&batch));
   }
-  MoveAppend(std::move(*cur), out);
+  MoveAppend(std::move(batch), out);
   return Status::OK();
 }
 
 Status Pipeline::OnWatermark(Micros wm, RecordBatch* out) {
+  // Records emitted by upstream operators' window closures are processed
+  // first; this operator's own emissions are appended after them.
   RecordBatch carried;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    RecordBatch emitted;
-    // First process records emitted by upstream operators' window closures.
-    if (!carried.empty()) {
-      JARVIS_RETURN_IF_ERROR(
-          ops_[i]->ProcessBatch(std::move(carried), &emitted));
-    }
-    JARVIS_RETURN_IF_ERROR(ops_[i]->OnWatermark(wm, &emitted));
-    carried = std::move(emitted);
+  for (OperatorPtr& op : ops_) {
+    if (!carried.empty()) JARVIS_RETURN_IF_ERROR(op->Process(&carried));
+    JARVIS_RETURN_IF_ERROR(op->OnWatermark(wm, &carried));
   }
   MoveAppend(std::move(carried), out);
   return Status::OK();
@@ -66,14 +29,9 @@ Status Pipeline::OnWatermark(Micros wm, RecordBatch* out) {
 
 Status Pipeline::Flush(RecordBatch* out) {
   RecordBatch carried;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    RecordBatch emitted;
-    if (!carried.empty()) {
-      JARVIS_RETURN_IF_ERROR(
-          ops_[i]->ProcessBatch(std::move(carried), &emitted));
-    }
-    JARVIS_RETURN_IF_ERROR(ops_[i]->ExportPartialState(&emitted));
-    carried = std::move(emitted);
+  for (OperatorPtr& op : ops_) {
+    if (!carried.empty()) JARVIS_RETURN_IF_ERROR(op->Process(&carried));
+    JARVIS_RETURN_IF_ERROR(op->ExportPartialState(&carried));
   }
   MoveAppend(std::move(carried), out);
   return Status::OK();

@@ -10,11 +10,9 @@ namespace jarvis::stream {
 
 /// A straight-line chain of operators (queries deployed on data sources are
 /// operator pipelines after the placement rules are applied, Section IV-B).
-/// The hot path is PushBatch(): a whole batch cascades through the chain
-/// stage by stage, ping-ponging between two reusable scratch batches so the
-/// steady state allocates nothing. Push() remains as the record-at-a-time
-/// compatibility path (one virtual hop and two scratch vectors per record
-/// per stage — the cost the batch API exists to amortize).
+/// PushBatch() cascades a whole batch through the chain; every stage
+/// rewrites it in place (Operator::Process), so stage transitions move no
+/// records.
 class Pipeline {
  public:
   Pipeline() = default;
@@ -26,22 +24,13 @@ class Pipeline {
   Operator& op(size_t i) { return *ops_[i]; }
   const Operator& op(size_t i) const { return *ops_[i]; }
 
-  /// Pushes one record through the whole chain; final outputs are appended
-  /// to `out`.
-  Status Push(Record&& rec, RecordBatch* out);
-
-  /// Pushes a record through the suffix of the chain starting at operator
-  /// `start` (used by the stream processor to resume drained records at the
-  /// right operator).
-  Status PushFrom(size_t start, Record&& rec, RecordBatch* out);
-
   /// Pushes a whole batch through the chain; final outputs are appended to
-  /// `out` in order. Identical outputs and operator stats to pushing each
-  /// record via Push(), but stage transitions reuse two ping-pong scratch
-  /// batches instead of allocating per record per stage.
+  /// `out` in order.
   Status PushBatch(RecordBatch&& batch, RecordBatch* out);
 
-  /// Batch analogue of PushFrom.
+  /// Pushes a batch through the suffix of the chain starting at operator
+  /// `start` (used by the stream processor to resume drained records at the
+  /// right operator).
   Status PushBatchFrom(size_t start, RecordBatch&& batch, RecordBatch* out);
 
   /// Advances the watermark through the chain; emissions from operator i are
@@ -68,10 +57,6 @@ class Pipeline {
 
  private:
   std::vector<OperatorPtr> ops_;
-  // Ping-pong stage scratch for PushBatch; cleared (not deallocated) between
-  // stages so capacity persists across pushes.
-  RecordBatch ping_;
-  RecordBatch pong_;
 };
 
 }  // namespace jarvis::stream

@@ -1,15 +1,17 @@
-// Batch-vs-record equivalence: for every operator kind, ProcessBatch and
-// ProcessBatchInPlace must produce exactly the outputs AND stats counters of
-// record-at-a-time Process, for fuzzed batches (including kPartial records
-// and awkward chunk boundaries); Pipeline::PushBatch must match Push; and
-// the schema-elided batch wire format must round-trip arbitrary batches —
-// empty, partial-bearing, and schema-divergent — byte-exactly. The final
-// section extends the same discipline across threads: a BuildingBlock
-// workload at threads=1 and threads=N must be bit-identical in results,
-// drain wire bytes, stats, and observations.
+// Chunking invariance: for every operator kind, Process over fuzzed batches
+// (including kPartial records) must produce exactly the same outputs AND
+// stats counters whatever the chunk boundaries. One record per batch is the
+// reference; awkward chunk sizes and the whole input as one batch must match
+// it, and so must Pipeline::PushBatch. The schema-elided batch wire format
+// must round-trip arbitrary batches (empty, partial-bearing, and
+// schema-divergent) byte-exactly. The final section extends the same
+// discipline across threads: a BuildingBlock workload at threads=1 and
+// threads=N must be bit-identical in results, drain wire bytes, stats, and
+// observations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -133,30 +135,14 @@ void ExpectStatsEq(const OperatorStats& got, const OperatorStats& want,
   EXPECT_EQ(got.bytes_out, want.bytes_out) << what;
 }
 
-enum class Mode { kRecord, kBatch, kInPlace };
-
-/// Feeds `input` through a fresh operator in the given mode, then flushes
-/// via watermark + ExportPartialState; returns all outputs in order.
-RecordBatch RunOp(Operator& op, RecordBatch&& input, Mode mode,
-                  size_t chunk_size) {
+/// Feeds `input` through a fresh operator in batches of `chunk_size`
+/// records, then flushes via watermark + ExportPartialState; returns all
+/// outputs in order.
+RecordBatch RunOp(Operator& op, RecordBatch&& input, size_t chunk_size) {
   RecordBatch out;
-  switch (mode) {
-    case Mode::kRecord:
-      for (Record& r : input) {
-        EXPECT_TRUE(op.Process(std::move(r), &out).ok());
-      }
-      break;
-    case Mode::kBatch:
-      for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
-        EXPECT_TRUE(op.ProcessBatch(std::move(chunk), &out).ok());
-      }
-      break;
-    case Mode::kInPlace:
-      for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
-        EXPECT_TRUE(op.ProcessBatchInPlace(&chunk).ok());
-        for (Record& r : chunk) out.push_back(std::move(r));
-      }
-      break;
+  for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
+    EXPECT_TRUE(op.Process(&chunk).ok());
+    for (Record& r : chunk) out.push_back(std::move(r));
   }
   EXPECT_TRUE(op.OnWatermark(Seconds(1e9), &out).ok());
   EXPECT_TRUE(op.ExportPartialState(&out).ok());
@@ -167,25 +153,22 @@ void CheckOperatorEquivalence(const OpFactory& make, const RecordBatch& input,
                               size_t chunk_size) {
   auto ref_op = make();
   RecordBatch ref_in = input;
-  const RecordBatch ref_out = RunOp(*ref_op, std::move(ref_in), Mode::kRecord,
-                                    chunk_size);
+  const RecordBatch ref_out = RunOp(*ref_op, std::move(ref_in), 1);
 
-  auto batch_op = make();
-  RecordBatch batch_in = input;
-  const RecordBatch batch_out =
-      RunOp(*batch_op, std::move(batch_in), Mode::kBatch, chunk_size);
-  EXPECT_EQ(batch_out, ref_out) << "ProcessBatch output diverges";
-  ExpectStatsEq(batch_op->stats(), ref_op->stats(), "ProcessBatch stats");
+  auto chunk_op = make();
+  RecordBatch chunk_in = input;
+  const RecordBatch chunk_out =
+      RunOp(*chunk_op, std::move(chunk_in), chunk_size);
+  EXPECT_EQ(chunk_out, ref_out) << "chunk size " << chunk_size
+                                << " output diverges";
+  ExpectStatsEq(chunk_op->stats(), ref_op->stats(), "chunked stats");
 
-  if (ref_op->HasInPlaceBatch()) {
-    auto ip_op = make();
-    RecordBatch ip_in = input;
-    const RecordBatch ip_out =
-        RunOp(*ip_op, std::move(ip_in), Mode::kInPlace, chunk_size);
-    EXPECT_EQ(ip_out, ref_out) << "ProcessBatchInPlace output diverges";
-    ExpectStatsEq(ip_op->stats(), ref_op->stats(),
-                  "ProcessBatchInPlace stats");
-  }
+  auto whole_op = make();
+  RecordBatch whole_in = input;
+  const RecordBatch whole_out =
+      RunOp(*whole_op, std::move(whole_in), std::max<size_t>(input.size(), 1));
+  EXPECT_EQ(whole_out, ref_out) << "whole-batch output diverges";
+  ExpectStatsEq(whole_op->stats(), ref_op->stats(), "whole-batch stats");
 }
 
 Schema KvSchema() {
@@ -195,7 +178,7 @@ Schema KvSchema() {
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BatchEquivalenceTest, WindowMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, WindowIsChunkingInvariant) {
   Rng rng(GetParam());
   for (int round = 0; round < 4; ++round) {
     const size_t n = rng.NextBounded(200);
@@ -208,7 +191,7 @@ TEST_P(BatchEquivalenceTest, WindowMatchesRecordPath) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, FilterMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, FilterIsChunkingInvariant) {
   Rng rng(GetParam() * 31);
   for (int round = 0; round < 4; ++round) {
     const size_t n = rng.NextBounded(200);
@@ -223,7 +206,7 @@ TEST_P(BatchEquivalenceTest, FilterMatchesRecordPath) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, MapMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, MapIsChunkingInvariant) {
   Rng rng(GetParam() * 97);
   for (int round = 0; round < 4; ++round) {
     const size_t n = rng.NextBounded(200);
@@ -249,7 +232,7 @@ TEST_P(BatchEquivalenceTest, MapMatchesRecordPath) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, ProjectMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, ProjectIsChunkingInvariant) {
   Rng rng(GetParam() * 131);
   for (int round = 0; round < 4; ++round) {
     const size_t n = rng.NextBounded(200);
@@ -263,7 +246,7 @@ TEST_P(BatchEquivalenceTest, ProjectMatchesRecordPath) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, JoinMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, JoinIsChunkingInvariant) {
   Rng rng(GetParam() * 173);
   auto table = std::make_shared<StaticTable>(
       "k", Schema::Field{"t", ValueType::kString});
@@ -280,14 +263,16 @@ TEST_P(BatchEquivalenceTest, JoinMatchesRecordPath) {
     // misses() must agree as well (keys in [0,8) vs table keys [0,5)).
     auto a = std::make_unique<JoinOp>("j", KvSchema(), table, 0);
     auto b = std::make_unique<JoinOp>("j", KvSchema(), table, 0);
-    RecordBatch in_a = input, in_b = input, out;
-    for (Record& r : in_a) ASSERT_TRUE(a->Process(std::move(r), &out).ok());
-    ASSERT_TRUE(b->ProcessBatch(std::move(in_b), &out).ok());
+    RecordBatch in_b = input;
+    for (RecordBatch& one : SliceInto(RecordBatch(input), 1)) {
+      ASSERT_TRUE(a->Process(&one).ok());
+    }
+    ASSERT_TRUE(b->Process(&in_b).ok());
     EXPECT_EQ(a->misses(), b->misses());
   }
 }
 
-TEST_P(BatchEquivalenceTest, GroupAggregateMatchesRecordPath) {
+TEST_P(BatchEquivalenceTest, GroupAggregateIsChunkingInvariant) {
   Rng rng(GetParam() * 211);
   const std::vector<AggSpec> aggs = {{AggKind::kCount, 0, "cnt"},
                                      {AggKind::kSum, 1, "sum_v"},
@@ -317,7 +302,7 @@ TEST_P(BatchEquivalenceTest, GroupAggregateMatchesRecordPath) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, PipelinePushBatchMatchesPush) {
+TEST_P(BatchEquivalenceTest, PipelinePushBatchIsChunkingInvariant) {
   Rng rng(GetParam() * 257);
   const Schema schema = KvSchema();
   auto make_pipeline = [&] {
@@ -325,7 +310,7 @@ TEST_P(BatchEquivalenceTest, PipelinePushBatchMatchesPush) {
     p->Add(std::make_unique<WindowOp>("w", schema, Seconds(1)));
     p->Add(std::make_unique<FilterOp>(
         "f", schema, [](const Record& r) { return r.i64(0) % 4 != 0; }));
-    // Map stage forces a hop off the in-place path mid-chain.
+    // The Map stage swaps the batch through its scratch mid-chain.
     p->Add(std::make_unique<MapOp>(
         "m", schema, [](Record&& r, RecordBatch* out) {
           r.fields[1] = Value(r.f64(1) + 1.0);
@@ -342,9 +327,9 @@ TEST_P(BatchEquivalenceTest, PipelinePushBatchMatchesPush) {
     RecordBatch input = RandomKvBatch(rng, n, false, 0.1);
 
     auto pipe_a = make_pipeline();
-    RecordBatch in_a = input, out_a;
-    for (Record& r : in_a) {
-      ASSERT_TRUE(pipe_a->Push(std::move(r), &out_a).ok());
+    RecordBatch out_a;
+    for (RecordBatch& one : SliceInto(RecordBatch(input), 1)) {
+      ASSERT_TRUE(pipe_a->PushBatch(std::move(one), &out_a).ok());
     }
 
     auto pipe_b = make_pipeline();
@@ -500,9 +485,9 @@ TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
     auto fn = std::make_unique<FilterOp>(
         "f", KvSchema(),
         [&pred](const Record& r) { return EvalPredicate(pred, r); });
-    RecordBatch in_a = input, in_b = input, out_a, out_b;
-    ASSERT_TRUE(typed->ProcessBatch(std::move(in_a), &out_a).ok());
-    ASSERT_TRUE(fn->ProcessBatch(std::move(in_b), &out_b).ok());
+    RecordBatch out_a = input, out_b = input;
+    ASSERT_TRUE(typed->Process(&out_a).ok());
+    ASSERT_TRUE(fn->Process(&out_b).ok());
     EXPECT_EQ(out_a, out_b);
     ExpectStatsEq(typed->stats(), fn->stats(), "typed vs function stats");
     (void)chunk;

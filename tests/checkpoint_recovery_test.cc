@@ -33,6 +33,7 @@ namespace {
 
 using jarvis::testing::KvSchema;
 using jarvis::testing::MakeWindowedRecord;
+using jarvis::testing::ProcessOne;
 using stream::AggKind;
 using stream::AggSpec;
 using stream::GroupAggregateOp;
@@ -72,12 +73,11 @@ RecordBatch FlushAll(stream::Operator* op) {
 TEST(OperatorStateTest, GroupAggregateFullRoundTrip) {
   GroupAggregateOp op = MakeAgg();
   RecordBatch sink;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(2, 0, 1, 4.0), &sink).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(3, 0, 2, 10.0), &sink).ok());
-  ASSERT_TRUE(
-      op.Process(MakeWindowedRecord(Seconds(12), Seconds(10), 1, 7.0), &sink)
-          .ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(2, 0, 1, 4.0), &sink).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(3, 0, 2, 10.0), &sink).ok());
+  ASSERT_TRUE(ProcessOne(
+      op, MakeWindowedRecord(Seconds(12), Seconds(10), 1, 7.0), &sink).ok());
 
   ser::BufferWriter w;
   ASSERT_TRUE(op.ExportStateDelta(&w, StateExport::kFull).ok());
@@ -92,7 +92,7 @@ TEST(OperatorStateTest, GroupAggregateFullRoundTrip) {
 TEST(OperatorStateTest, GroupAggregateDeltaCarriesOnlyChanges) {
   GroupAggregateOp op = MakeAgg();
   RecordBatch sink;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
   // First export is a keyframe (delta tracking starts here) — apply it to
   // the replica so both sides share a base.
   ser::BufferWriter base;
@@ -102,9 +102,8 @@ TEST(OperatorStateTest, GroupAggregateDeltaCarriesOnlyChanges) {
   ASSERT_TRUE(replica.RestoreState(&rb).ok());
 
   // Mutate one window, open another, and flush the first via watermark.
-  ASSERT_TRUE(
-      op.Process(MakeWindowedRecord(Seconds(12), Seconds(10), 2, 5.0), &sink)
-          .ok());
+  ASSERT_TRUE(ProcessOne(
+      op, MakeWindowedRecord(Seconds(12), Seconds(10), 2, 5.0), &sink).ok());
   RecordBatch flushed;
   ASSERT_TRUE(op.OnWatermark(Seconds(10), &flushed).ok());
   ASSERT_EQ(flushed.size(), 1u);  // window [0,10) closed: one group (key 1)
@@ -123,7 +122,7 @@ TEST(OperatorStateTest, GroupAggregateDeltaCarriesOnlyChanges) {
 TEST(OperatorStateTest, GroupAggregateEmptyDeltaAfterQuiescence) {
   GroupAggregateOp op = MakeAgg();
   RecordBatch sink;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
   ser::BufferWriter first;
   ASSERT_TRUE(op.ExportStateDelta(&first, StateExport::kFull).ok());
   // Nothing changed since: the delta is the empty grammar (two zero counts).
@@ -139,13 +138,13 @@ TEST(OperatorStateTest, JoinRoundTripsMissCounter) {
   JoinOp op("j", KvSchema("ip", "rtt"), table, 0);
   RecordBatch sink;
   ASSERT_TRUE(
-      op.Process(jarvis::testing::MakeRecord(1, int64_t{100}, 1.0), &sink)
+      ProcessOne(op, jarvis::testing::MakeRecord(1, int64_t{100}, 1.0), &sink)
           .ok());
   ASSERT_TRUE(
-      op.Process(jarvis::testing::MakeRecord(2, int64_t{999}, 1.0), &sink)
+      ProcessOne(op, jarvis::testing::MakeRecord(2, int64_t{999}, 1.0), &sink)
           .ok());
   ASSERT_TRUE(
-      op.Process(jarvis::testing::MakeRecord(3, int64_t{998}, 1.0), &sink)
+      ProcessOne(op, jarvis::testing::MakeRecord(3, int64_t{998}, 1.0), &sink)
           .ok());
   ASSERT_EQ(op.misses(), 2u);
 
@@ -162,7 +161,7 @@ TEST(OperatorStateTest, JoinRoundTripsMissCounter) {
   ASSERT_TRUE(op.ExportStateDelta(&quiet, StateExport::kDelta).ok());
   EXPECT_EQ(quiet.size(), 2u);
   ASSERT_TRUE(
-      op.Process(jarvis::testing::MakeRecord(4, int64_t{997}, 1.0), &sink)
+      ProcessOne(op, jarvis::testing::MakeRecord(4, int64_t{997}, 1.0), &sink)
           .ok());
   ser::BufferWriter dirty;
   ASSERT_TRUE(op.ExportStateDelta(&dirty, StateExport::kDelta).ok());
@@ -194,10 +193,7 @@ class ForgetfulOp : public stream::Operator {
   bool IsStateful() const override { return true; }
 
  protected:
-  Status DoProcess(stream::Record&& rec, RecordBatch* out) override {
-    out->push_back(std::move(rec));
-    return Status::OK();
-  }
+  Status DoProcess(RecordBatch*) override { return Status::OK(); }
 };
 
 TEST(OperatorStateTest, StatefulOperatorWithoutOverrideIsAnError) {

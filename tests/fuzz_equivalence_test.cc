@@ -79,10 +79,12 @@ std::multiset<std::string> ExecuteRun(
     EXPECT_TRUE(sp.Consume(0, std::move(out).value(), &results).ok());
     EXPECT_TRUE(sp.EndEpoch(&results).ok());
   }
-  // Final flush: ship all remaining source state, then close all windows.
-  auto ckpt = source.Checkpoint(Seconds(epochs + 3600));
-  EXPECT_TRUE(ckpt.ok());
-  EXPECT_TRUE(sp.Consume(0, std::move(ckpt).value(), &results).ok());
+  // Final flush: ship every pending record, then close all windows at both
+  // ends (the source's window closes drain as mergeable partial state).
+  source.RequestFlush();
+  auto last = source.RunEpoch(Seconds(epochs + 3600), false);
+  EXPECT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_TRUE(sp.Consume(0, std::move(last).value(), &results).ok());
   EXPECT_TRUE(sp.EndEpoch(&results).ok());
   return Canonical(results);
 }

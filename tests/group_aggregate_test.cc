@@ -17,6 +17,7 @@ namespace {
 
 using jarvis::testing::BatchNear;
 using jarvis::testing::MakeWindowedRecord;
+using jarvis::testing::ProcessOne;
 
 Schema InSchema() { return jarvis::testing::KvSchema("key", "val"); }
 
@@ -42,9 +43,9 @@ TEST(GroupAggregateTest, BasicAggregation) {
   GroupAggregateOp op("g", InSchema(), {0}, AllAggs(), Seconds(10),
                       /*emit_partials=*/false);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(2, 0, 1, 4.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(3, 0, 2, 10.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(2, 0, 1, 4.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(3, 0, 2, 10.0), &out).ok());
   EXPECT_TRUE(out.empty());  // emission only on window close
   EXPECT_EQ(op.open_windows(), 1u);
 
@@ -70,7 +71,7 @@ TEST(GroupAggregateTest, BasicAggregation) {
 TEST(GroupAggregateTest, EmissionCarriesWindowTimes) {
   GroupAggregateOp op("g", InSchema(), {0}, AllAggs(), Seconds(10), false);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(Seconds(12), Seconds(10), 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(Seconds(12), Seconds(10), 1, 1.0), &out).ok());
   ASSERT_TRUE(op.OnWatermark(Seconds(20), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].window_start, Seconds(10));
@@ -80,8 +81,8 @@ TEST(GroupAggregateTest, EmissionCarriesWindowTimes) {
 TEST(GroupAggregateTest, WatermarkOnlyClosesDueWindows) {
   GroupAggregateOp op("g", InSchema(), {0}, AllAggs(), Seconds(10), false);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(Seconds(5), 0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(Seconds(15), Seconds(10), 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(Seconds(5), 0, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(Seconds(15), Seconds(10), 1, 1.0), &out).ok());
   ASSERT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
   EXPECT_EQ(out.size(), 1u);  // only window [0,10) closed
   EXPECT_EQ(op.open_windows(), 1u);
@@ -94,7 +95,7 @@ TEST(GroupAggregateTest, UnwindowedInputIsError) {
   Record r = MakeWindowedRecord(1, -1, 1, 1.0);
   r.window_start = -1;
   RecordBatch out;
-  EXPECT_EQ(op.Process(std::move(r), &out).code(),
+  EXPECT_EQ(ProcessOne(op, std::move(r), &out).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -102,7 +103,7 @@ TEST(GroupAggregateTest, PartialModeEmitsPartialRecords) {
   GroupAggregateOp op("g", InSchema(), {0}, AllAggs(), Seconds(10),
                       /*emit_partials=*/true);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 2.0), &out).ok());
   ASSERT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, RecordKind::kPartial);
@@ -131,9 +132,10 @@ TEST_F(GroupAggregateSeededTest, PartialMergeEqualsDirectAggregation) {
   RecordBatch sink;
   for (size_t i = 0; i < all.size(); ++i) {
     Record copy = all[i];
-    ASSERT_TRUE(direct.Process(std::move(copy), &sink).ok());
+    ASSERT_TRUE(ProcessOne(direct, std::move(copy), &sink).ok());
     Record split = all[i];
-    ASSERT_TRUE((i % 2 ? src_a : src_b).Process(std::move(split), &sink).ok());
+    ASSERT_TRUE(
+        ProcessOne(i % 2 ? src_a : src_b, std::move(split), &sink).ok());
   }
   ASSERT_TRUE(sink.empty());
 
@@ -142,7 +144,7 @@ TEST_F(GroupAggregateSeededTest, PartialMergeEqualsDirectAggregation) {
   ASSERT_TRUE(src_b.OnWatermark(Seconds(10), &partials).ok());
   for (Record& p : partials) {
     ASSERT_EQ(p.kind, RecordKind::kPartial);
-    ASSERT_TRUE(merge.Process(std::move(p), &sink).ok());
+    ASSERT_TRUE(ProcessOne(merge, std::move(p), &sink).ok());
   }
 
   RecordBatch direct_out, merged_out;
@@ -158,15 +160,15 @@ TEST(GroupAggregateTest, PartialArityMismatchRejected) {
   bad.window_start = 0;
   bad.fields = {Value(int64_t{1})};  // too few accumulator fields
   RecordBatch out;
-  EXPECT_EQ(op.Process(std::move(bad), &out).code(),
+  EXPECT_EQ(ProcessOne(op, std::move(bad), &out).code(),
             StatusCode::kSerializationError);
 }
 
 TEST(GroupAggregateTest, ExportPartialStateDrainsEverything) {
   GroupAggregateOp op("g", InSchema(), {0}, AllAggs(), Seconds(10), false);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(11, Seconds(10), 2, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(11, Seconds(10), 2, 2.0), &out).ok());
   RecordBatch exported;
   ASSERT_TRUE(op.ExportPartialState(&exported).ok());
   EXPECT_EQ(exported.size(), 2u);
@@ -190,9 +192,9 @@ TEST(GroupAggregateTest, MultiKeyGrouping) {
     r.fields = {Value(a), Value(std::string(b)), Value(1.0)};
     return r;
   };
-  ASSERT_TRUE(op.Process(make(1, "x"), &out).ok());
-  ASSERT_TRUE(op.Process(make(1, "y"), &out).ok());
-  ASSERT_TRUE(op.Process(make(1, "x"), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, make(1, "x"), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, make(1, "y"), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, make(1, "x"), &out).ok());
   ASSERT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
   ASSERT_EQ(out.size(), 2u);
   std::map<std::string, int64_t> counts;
@@ -235,16 +237,16 @@ TEST_P(PartialMergePropertyTest, AnySplitIsLossless) {
     Record r = MakeWindowedRecord(window + 1, window, static_cast<int64_t>(rng.NextBounded(5)),
                    rng.NextGaussian());
     Record copy = r;
-    ASSERT_TRUE(direct.Process(std::move(copy), &sink).ok());
+    ASSERT_TRUE(ProcessOne(direct, std::move(copy), &sink).ok());
     ASSERT_TRUE(
-        sources[rng.NextBounded(k)]->Process(std::move(r), &sink).ok());
+        ProcessOne(*sources[rng.NextBounded(k)], std::move(r), &sink).ok());
   }
   RecordBatch partials;
   for (auto& s : sources) {
     ASSERT_TRUE(s->OnWatermark(Seconds(30), &partials).ok());
   }
   for (Record& p : partials) {
-    ASSERT_TRUE(merge.Process(std::move(p), &sink).ok());
+    ASSERT_TRUE(ProcessOne(merge, std::move(p), &sink).ok());
   }
   RecordBatch direct_out, merged_out;
   ASSERT_TRUE(direct.OnWatermark(Seconds(30), &direct_out).ok());
@@ -346,14 +348,14 @@ GoldenRun RunGolden(bool emit_partials) {
   GoldenRun run;
   RecordBatch sink, rows;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(op.Process(MixedRecord(i, Seconds(10) * (i % 2)), &sink).ok());
+    EXPECT_TRUE(ProcessOne(op, MixedRecord(i, Seconds(10) * (i % 2)), &sink).ok());
   }
   ser::BufferWriter full;
   EXPECT_TRUE(op.ExportStateDelta(&full, StateExport::kFull).ok());
   run.full = full.Release();
   for (int i = 10; i < 18; ++i) {
     EXPECT_TRUE(
-        op.Process(MixedRecord(i, Seconds(10) * (1 + i % 2)), &sink).ok());
+        ProcessOne(op, MixedRecord(i, Seconds(10) * (1 + i % 2)), &sink).ok());
   }
   EXPECT_TRUE(sink.empty());
   EXPECT_TRUE(op.OnWatermark(Seconds(10), &rows).ok());
@@ -586,9 +588,10 @@ TEST_F(GroupAggregateSeededTest, GrowthWithMixedMergesMatchesMapReference) {
     ASSERT_TRUE(side.ExportPartialState(&partials).ok());
     // Half the partials go in one batch, the rest one by one.
     RecordBatch batch(partials.begin(), partials.begin() + partials.size() / 2);
-    ASSERT_TRUE(op.ProcessBatch(std::move(batch), &sink).ok());
+    ASSERT_TRUE(op.Process(&batch).ok());
+    MoveAppend(std::move(batch), &sink);
     for (size_t i = partials.size() / 2; i < partials.size(); ++i) {
-      ASSERT_TRUE(op.Process(std::move(partials[i]), &sink).ok());
+      ASSERT_TRUE(ProcessOne(op, std::move(partials[i]), &sink).ok());
     }
   };
   for (int i = 0; i < kRecords; ++i) {
@@ -603,13 +606,13 @@ TEST_F(GroupAggregateSeededTest, GrowthWithMixedMergesMatchesMapReference) {
     r.fields = {Value(a), Value(b), Value(v)};
     switch (rng().NextBounded(3)) {
       case 0:
-        ASSERT_TRUE(op.Process(std::move(r), &sink).ok());
+        ASSERT_TRUE(ProcessOne(op, std::move(r), &sink).ok());
         break;
       case 1:
-        ASSERT_TRUE(side_a.Process(std::move(r), &sink).ok());
+        ASSERT_TRUE(ProcessOne(side_a, std::move(r), &sink).ok());
         break;
       default:
-        ASSERT_TRUE(side_b.Process(std::move(r), &sink).ok());
+        ASSERT_TRUE(ProcessOne(side_b, std::move(r), &sink).ok());
         break;
     }
     if (i % 9973 == 0) drain_side(side_a);

@@ -6,6 +6,8 @@
 namespace jarvis::stream {
 namespace {
 
+using jarvis::testing::ProcessOne;
+
 Schema ProbeSchema() { return jarvis::testing::KvSchema("ip", "rtt"); }
 
 std::shared_ptr<StaticTable> MakeTable() {
@@ -30,7 +32,7 @@ TEST(StaticTableTest, FindHitAndMiss) {
 TEST(JoinOpTest, AppendsTableValue) {
   JoinOp op("j", ProbeSchema(), MakeTable(), 0);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(Rec(104, 1.5), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, Rec(104, 1.5), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].fields.size(), 3u);
   EXPECT_EQ(out[0].i64(2), 104 / 5);
@@ -40,7 +42,7 @@ TEST(JoinOpTest, AppendsTableValue) {
 TEST(JoinOpTest, MissDropsAndCounts) {
   JoinOp op("j", ProbeSchema(), MakeTable(), 0);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(Rec(999, 1.5), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, Rec(999, 1.5), &out).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(op.misses(), 1u);
 }
@@ -50,7 +52,7 @@ TEST(JoinOpTest, PartialRecordsBypassJoin) {
   Record p = Rec(999, 1.0);
   p.kind = RecordKind::kPartial;
   RecordBatch out;
-  ASSERT_TRUE(op.Process(std::move(p), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, std::move(p), &out).ok());
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(op.misses(), 0u);
 }
@@ -58,13 +60,14 @@ TEST(JoinOpTest, PartialRecordsBypassJoin) {
 TEST(JoinOpTest, OutOfRangeKeyFieldFails) {
   JoinOp op("j", ProbeSchema(), MakeTable(), 7);
   RecordBatch out;
-  EXPECT_EQ(op.Process(Rec(100, 1.0), &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ProcessOne(op, Rec(100, 1.0), &out).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(JoinOpTest, StatsReflectEnrichment) {
   JoinOp op("j", ProbeSchema(), MakeTable(), 0);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(Rec(100, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, Rec(100, 1.0), &out).ok());
   // The appended column makes output records slightly larger.
   EXPECT_GT(op.stats().bytes_out, op.stats().bytes_in);
 }
@@ -78,8 +81,8 @@ TEST(JoinOpTest, ChainedJoinsComposeSchemas) {
   JoinOp j2("j2", j1.output_schema(), t2, 0);
   EXPECT_EQ(j2.output_schema().num_fields(), 4u);
   RecordBatch mid, out;
-  ASSERT_TRUE(j1.Process(Rec(100, 1.0), &mid).ok());
-  ASSERT_TRUE(j2.Process(std::move(mid[0]), &out).ok());
+  ASSERT_TRUE(ProcessOne(j1, Rec(100, 1.0), &mid).ok());
+  ASSERT_TRUE(ProcessOne(j2, std::move(mid[0]), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].i64(3), 9);
 }

@@ -9,13 +9,14 @@ namespace {
 
 using jarvis::testing::KvSchema;
 using jarvis::testing::MakeRecord;
+using jarvis::testing::ProcessOne;
 
 TEST(WindowOpTest, AssignsTumblingWindowStart) {
   WindowOp op("w", KvSchema(), Seconds(10));
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(Seconds(13), 1, 2.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeRecord(Seconds(20), 1, 2.0), &out).ok());
-  ASSERT_TRUE(op.Process(MakeRecord(Seconds(29.999), 1, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(Seconds(13), 1, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(Seconds(20), 1, 2.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(Seconds(29.999), 1, 2.0), &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].window_start, Seconds(10));
   EXPECT_EQ(out[1].window_start, Seconds(20));
@@ -28,7 +29,7 @@ TEST(WindowOpTest, PartialRecordsKeepTheirWindow) {
   partial.kind = RecordKind::kPartial;
   partial.window_start = Seconds(10);
   RecordBatch out;
-  ASSERT_TRUE(op.Process(std::move(partial), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, std::move(partial), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].window_start, Seconds(10));
 }
@@ -36,7 +37,7 @@ TEST(WindowOpTest, PartialRecordsKeepTheirWindow) {
 TEST(WindowOpTest, ZeroWidthIsError) {
   WindowOp op("w", KvSchema(), 0);
   RecordBatch out;
-  EXPECT_FALSE(op.Process(MakeRecord(1, 1, 1.0), &out).ok());
+  EXPECT_FALSE(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).ok());
 }
 
 TEST(FilterOpTest, DropsNonMatching) {
@@ -44,7 +45,7 @@ TEST(FilterOpTest, DropsNonMatching) {
               [](const Record& r) { return r.i64(0) % 2 == 0; });
   RecordBatch out;
   for (int64_t k = 0; k < 10; ++k) {
-    ASSERT_TRUE(op.Process(MakeRecord(k, k, 1.0), &out).ok());
+    ASSERT_TRUE(ProcessOne(op, MakeRecord(k, k, 1.0), &out).ok());
   }
   EXPECT_EQ(out.size(), 5u);
   for (const Record& r : out) EXPECT_EQ(r.i64(0) % 2, 0);
@@ -55,7 +56,7 @@ TEST(FilterOpTest, StatsTrackSelectivity) {
               [](const Record& r) { return r.i64(0) < 3; });
   RecordBatch out;
   for (int64_t k = 0; k < 10; ++k) {
-    ASSERT_TRUE(op.Process(MakeRecord(k, k, 1.0), &out).ok());
+    ASSERT_TRUE(ProcessOne(op, MakeRecord(k, k, 1.0), &out).ok());
   }
   EXPECT_EQ(op.stats().records_in, 10u);
   EXPECT_EQ(op.stats().records_out, 3u);
@@ -67,7 +68,7 @@ TEST(FilterOpTest, PartialRecordsPassThrough) {
   Record partial = MakeRecord(1, 1, 1.0);
   partial.kind = RecordKind::kPartial;
   RecordBatch out;
-  ASSERT_TRUE(op.Process(std::move(partial), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, std::move(partial), &out).ok());
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -77,7 +78,7 @@ TEST(MapOpTest, OneToMany) {
     return Status::OK();
   });
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(1, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).ok());
   EXPECT_EQ(out.size(), 3u);
   EXPECT_NEAR(op.stats().RelayRatioRecords(), 3.0, 1e-9);
 }
@@ -86,7 +87,7 @@ TEST(MapOpTest, CanDropRecords) {
   MapOp op("m", KvSchema(),
            [](Record&&, RecordBatch*) { return Status::OK(); });
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(1, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -95,13 +96,71 @@ TEST(MapOpTest, ErrorsPropagate) {
     return Status::Internal("boom");
   });
   RecordBatch out;
-  EXPECT_EQ(op.Process(MakeRecord(1, 1, 1.0), &out).code(), StatusCode::kInternal);
+  EXPECT_EQ(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).code(),
+            StatusCode::kInternal);
+}
+
+TEST(MapOpTest, ScratchReuseAcrossBatchesMatchesFreshOperators) {
+  // Key 1 expands 1->3, key 0 drops, key 9 fails; other keys double v.
+  auto make = [] {
+    return std::make_unique<MapOp>(
+        "m", KvSchema(), [](Record&& r, RecordBatch* out) {
+          const int64_t k = r.i64(0);
+          if (k == 9) return Status::Internal("bad key");
+          if (k == 0) return Status::OK();
+          if (k == 1) {
+            out->push_back(r);
+            out->push_back(r);
+          }
+          r.fields[1] = Value(r.f64(1) * 2.0);
+          out->push_back(std::move(r));
+          return Status::OK();
+        });
+  };
+  Record partial = MakeRecord(3, 9, 7.0);  // would fail as data
+  partial.kind = RecordKind::kPartial;
+  const std::vector<RecordBatch> batches = {
+      {MakeRecord(1, 1, 1.0)},
+      {MakeRecord(2, 0, 2.0)},
+      {partial, MakeRecord(4, 2, 3.0)},
+      {MakeRecord(5, 2, 4.0), MakeRecord(6, 9, 5.0), MakeRecord(7, 1, 6.0)},
+      {MakeRecord(8, 1, 1.5), MakeRecord(9, 3, 2.5)},
+  };
+  const std::vector<size_t> want_sizes = {3, 0, 2, 1, 4};
+  const std::vector<StatusCode> want_codes = {
+      StatusCode::kOk, StatusCode::kOk, StatusCode::kOk, StatusCode::kInternal,
+      StatusCode::kOk};
+
+  auto reused = make();
+  OperatorStats fresh_total;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    RecordBatch got = batches[i];
+    RecordBatch want = batches[i];
+    auto fresh = make();
+    EXPECT_EQ(reused->Process(&got).code(), want_codes[i]) << "batch " << i;
+    EXPECT_EQ(fresh->Process(&want).code(), want_codes[i]) << "batch " << i;
+    EXPECT_EQ(got, want) << "batch " << i;
+    EXPECT_EQ(got.size(), want_sizes[i]) << "batch " << i;
+    fresh_total.records_in += fresh->stats().records_in;
+    fresh_total.records_out += fresh->stats().records_out;
+    fresh_total.bytes_in += fresh->stats().bytes_in;
+    fresh_total.bytes_out += fresh->stats().bytes_out;
+  }
+  // The partial-state record crossed untouched.
+  RecordBatch pass = {partial};
+  ASSERT_TRUE(reused->Process(&pass).ok());
+  EXPECT_EQ(pass, RecordBatch{partial});
+  EXPECT_EQ(reused->stats().records_in, fresh_total.records_in + 1);
+  EXPECT_EQ(reused->stats().records_out, fresh_total.records_out + 1);
+  EXPECT_EQ(reused->stats().bytes_in, fresh_total.bytes_in + WireSize(partial));
+  EXPECT_EQ(reused->stats().bytes_out,
+            fresh_total.bytes_out + WireSize(partial));
 }
 
 TEST(ProjectOpTest, KeepsSelectedFieldsInOrder) {
   ProjectOp op("p", KvSchema(), {1});
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(5, 7, 2.5), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(5, 7, 2.5), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].fields.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].f64(0), 2.5);
@@ -112,7 +171,7 @@ TEST(ProjectOpTest, KeepsSelectedFieldsInOrder) {
 TEST(ProjectOpTest, ReordersFields) {
   ProjectOp op("p", KvSchema(), {1, 0});
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(5, 7, 2.5), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(5, 7, 2.5), &out).ok());
   EXPECT_DOUBLE_EQ(out[0].f64(0), 2.5);
   EXPECT_EQ(out[0].i64(1), 7);
 }
@@ -120,14 +179,14 @@ TEST(ProjectOpTest, ReordersFields) {
 TEST(ProjectOpTest, OutOfRangeIndexFails) {
   ProjectOp op("p", KvSchema(), {5});
   RecordBatch out;
-  EXPECT_EQ(op.Process(MakeRecord(1, 1, 1.0), &out).code(),
+  EXPECT_EQ(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).code(),
             StatusCode::kOutOfRange);
 }
 
 TEST(ProjectOpTest, ReducesWireBytes) {
   ProjectOp op("p", KvSchema(), {0});
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(1, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).ok());
   EXPECT_LT(op.stats().bytes_out, op.stats().bytes_in);
   EXPECT_LT(op.stats().RelayRatioBytes(), 1.0);
 }
@@ -135,7 +194,7 @@ TEST(ProjectOpTest, ReducesWireBytes) {
 TEST(OperatorTest, ResetStatsClearsCounters) {
   FilterOp op("f", KvSchema(), [](const Record&) { return true; });
   RecordBatch out;
-  ASSERT_TRUE(op.Process(MakeRecord(1, 1, 1.0), &out).ok());
+  ASSERT_TRUE(ProcessOne(op, MakeRecord(1, 1, 1.0), &out).ok());
   EXPECT_GT(op.stats().records_in, 0u);
   op.ResetStats();
   EXPECT_EQ(op.stats().records_in, 0u);
@@ -162,13 +221,10 @@ TEST(OperatorTest, EmptyBatchThroughOperatorsIsANoOp) {
   WindowOp w("w", KvSchema(), Seconds(10));
   FilterOp f("f", KvSchema(), [](const Record&) { return true; });
   ProjectOp p("p", KvSchema(), {0});
-  RecordBatch empty;
   for (Operator* op : std::initializer_list<Operator*>{&w, &f, &p}) {
-    RecordBatch out;
-    for (Record& r : empty) {
-      ASSERT_TRUE(op->Process(std::move(r), &out).ok());
-    }
-    EXPECT_TRUE(out.empty());
+    RecordBatch batch;
+    ASSERT_TRUE(op->Process(&batch).ok());
+    EXPECT_TRUE(batch.empty());
     EXPECT_EQ(op->stats().records_in, 0u);
     EXPECT_DOUBLE_EQ(op->stats().RelayRatioRecords(), 1.0);
   }

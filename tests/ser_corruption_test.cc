@@ -31,6 +31,7 @@ using jarvis::testing::FuzzSeeds;
 using jarvis::testing::KvSchema;
 using jarvis::testing::MakeRecord;
 using jarvis::testing::MakeWindowedRecord;
+using jarvis::testing::ProcessOne;
 
 /// One corpus entry: a row batch plus the schema it is encoded against.
 struct Corpus {
@@ -264,7 +265,7 @@ TEST(SerCorruptionTest, GroupAggregateRestoreRejectsRepeatedGroupKey) {
   };
   GroupAggregateOp op = make();
   RecordBatch sink;
-  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, int64_t{5}, 2.0), &sink)
+  ASSERT_TRUE(ProcessOne(op, MakeWindowedRecord(1, 0, int64_t{5}, 2.0), &sink)
                   .ok());
   ser::BufferWriter good;
   ASSERT_TRUE(op.ExportStateDelta(&good, StateExport::kFull).ok());

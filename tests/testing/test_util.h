@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/units.h"
+#include "stream/operator.h"
 #include "stream/record.h"
 
 namespace jarvis::testing {
@@ -101,6 +103,18 @@ inline stream::RecordBatch MakeBatch(
   batch.reserve(n);
   for (size_t i = 0; i < n; ++i) batch.push_back(make(i));
   return batch;
+}
+
+/// Runs `op` over a batch holding just `rec` and, on success, appends the
+/// outputs to `out`: the record-at-a-time view of Operator::Process that
+/// unit tests read best.
+inline Status ProcessOne(stream::Operator& op, stream::Record&& rec,
+                         stream::RecordBatch* out) {
+  stream::RecordBatch batch;
+  batch.push_back(std::move(rec));
+  JARVIS_RETURN_IF_ERROR(op.Process(&batch));
+  stream::MoveAppend(std::move(batch), out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
