@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <cstring>
+#include <tuple>
 
+#include "query/compile.h"
 #include "workloads/cost_profiles.h"
 #include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
+#include "workloads/queries.h"
 
 namespace jarvis::workloads {
 namespace {
@@ -167,28 +173,32 @@ struct Fnv1a {
   void I64(int64_t v) { Mix(&v, sizeof(v)); }
 };
 
-uint64_t HashRecords(const stream::RecordBatch& batch) {
-  Fnv1a f;
+void MixRecords(const stream::RecordBatch& batch, Fnv1a* f) {
   for (const stream::Record& r : batch) {
-    f.I64(r.event_time);
-    f.I64(r.window_start);
-    f.I64(static_cast<int64_t>(r.kind));
-    f.I64(static_cast<int64_t>(r.fields.size()));
+    f->I64(r.event_time);
+    f->I64(r.window_start);
+    f->I64(static_cast<int64_t>(r.kind));
+    f->I64(static_cast<int64_t>(r.fields.size()));
     for (const stream::Value& v : r.fields) {
-      f.I64(static_cast<int64_t>(v.index()));
+      f->I64(static_cast<int64_t>(v.index()));
       if (const auto* i = std::get_if<int64_t>(&v)) {
-        f.I64(*i);
+        f->I64(*i);
       } else if (const auto* d = std::get_if<double>(&v)) {
         int64_t bits;
         std::memcpy(&bits, d, sizeof(bits));
-        f.I64(bits);
+        f->I64(bits);
       } else {
         const std::string& str = std::get<std::string>(v);
-        f.I64(static_cast<int64_t>(str.size()));
-        f.Mix(str.data(), str.size());
+        f->I64(static_cast<int64_t>(str.size()));
+        f->Mix(str.data(), str.size());
       }
     }
   }
+}
+
+uint64_t HashRecords(const stream::RecordBatch& batch) {
+  Fnv1a f;
+  MixRecords(batch, &f);
   return f.h;
 }
 
@@ -265,6 +275,161 @@ TEST(LogAnalyticsTest, GenerateMatchesGoldenFixture) {
     EXPECT_EQ(HashRecords(batch), g.hash)
         << "seed " << g.seed << ", from " << g.from;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden query output: the LogAnalytics query's stream-processor pipeline
+// driven one operator at a time over 30 s of generated lines (600 lines/s,
+// 8 tenants, 20% noise lines), a batch and a watermark per second. For each
+// of the 6 operators: the number of records it emitted and an FNV-1a hash of
+// those records followed by its final records/bytes in/out counters; then
+// the count and hash of every closed-window result. Any change to what the
+// query's operators emit changes these numbers.
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<stream::Pipeline> LogAnalyticsSpPipeline() {
+  auto plan = MakeLogAnalyticsQuery();
+  EXPECT_TRUE(plan.ok());
+  auto compiled = query::Compile(std::move(plan).value());
+  EXPECT_TRUE(compiled.ok());
+  auto pipe = compiled->MakeSpPipeline();
+  EXPECT_TRUE(pipe.ok());
+  EXPECT_EQ((*pipe)->size(), 6u);
+  return std::move(pipe).value();
+}
+
+TEST(LogAnalyticsTest, QueryMatchesGoldenFixture) {
+  struct Stage {
+    size_t count;
+    uint64_t hash;
+  };
+  struct Golden {
+    uint64_t seed;
+    std::array<Stage, 6> ops;
+    Stage results;
+  };
+  const Golden kGolden[] = {
+      {31,
+       {{{18000, 0xf2c83a169e5a7b1dULL},
+         {18000, 0xbb46360aae1dda71ULL},
+         {14314, 0xdd8813688fee9036ULL},
+         {42942, 0x851b448156fbbe70ULL},
+         {42942, 0xdb8bcbdfb3026e9bULL},
+         {0, 0xb1f988fc1110d1a6ULL}}},
+       {720, 0x9cf024830b504ba7ULL}},
+      {32,
+       {{{18000, 0xc6c4a188522cf2d4ULL},
+         {18000, 0xe531e4d1cfb6c1a1ULL},
+         {14375, 0x0676a051c4a786f8ULL},
+         {43125, 0x53391cd28bf35056ULL},
+         {43125, 0x9fa6cf662bfadad8ULL},
+         {0, 0xccf50e6f8e643a52ULL}}},
+       {720, 0xa599bacc81204198ULL}},
+  };
+  for (const Golden& g : kGolden) {
+    LogAnalyticsConfig cfg;
+    cfg.seed = g.seed;
+    cfg.lines_per_sec = 600;
+    cfg.num_tenants = 8;
+    cfg.noise_fraction = 0.2;
+    LogAnalyticsGenerator gen(cfg);
+    auto pipe = LogAnalyticsSpPipeline();
+    std::array<Fnv1a, 6> op_hash;
+    std::array<size_t, 6> op_count{};
+    Fnv1a result_hash;
+    size_t result_count = 0;
+    for (int s = 0; s < 30; ++s) {
+      stream::RecordBatch batch = gen.Generate(Seconds(s), Seconds(s + 1));
+      for (size_t i = 0; i < pipe->size(); ++i) {
+        ASSERT_TRUE(pipe->op(i).Process(&batch).ok());
+        op_count[i] += batch.size();
+        MixRecords(batch, &op_hash[i]);
+      }
+      stream::RecordBatch closed;
+      ASSERT_TRUE(pipe->OnWatermark(Seconds(s + 1), &closed).ok());
+      result_count += closed.size();
+      MixRecords(closed, &result_hash);
+    }
+    for (size_t i = 0; i < pipe->size(); ++i) {
+      const stream::OperatorStats& st = pipe->op(i).stats();
+      for (uint64_t c : {st.records_in, st.records_out, st.bytes_in,
+                         st.bytes_out}) {
+        op_hash[i].I64(static_cast<int64_t>(c));
+      }
+      EXPECT_EQ(op_count[i], g.ops[i].count)
+          << "seed " << g.seed << ", op " << pipe->op(i).name();
+      EXPECT_EQ(op_hash[i].h, g.ops[i].hash)
+          << "seed " << g.seed << ", op " << pipe->op(i).name();
+    }
+    EXPECT_EQ(result_count, g.results.count) << "seed " << g.seed;
+    EXPECT_EQ(result_hash.h, g.results.hash) << "seed " << g.seed;
+  }
+}
+
+/// Runs `lines` (all at event time 0) through the query's first four
+/// operators (Window, normalize, filter, parse) and returns the parsed
+/// (tenant, stat_name, stat) rows in order.
+std::vector<std::tuple<std::string, std::string, double>> ParseLines(
+    const std::vector<std::string>& lines) {
+  auto pipe = LogAnalyticsSpPipeline();
+  stream::RecordBatch batch;
+  for (const std::string& line : lines) {
+    batch.emplace_back(0, std::vector<stream::Value>{stream::Value(line)});
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(pipe->op(i).Process(&batch).ok());
+  }
+  std::vector<std::tuple<std::string, std::string, double>> rows;
+  for (const stream::Record& r : batch) {
+    rows.emplace_back(r.str(0), r.str(1), r.f64(2));
+  }
+  return rows;
+}
+
+// Hand-written lines beyond the generator's integer grammar: decimals,
+// exponents, a numeric prefix followed by junk, keys out of order or
+// missing, empty values, tabs and non-ASCII bytes (which lowercasing leaves
+// alone). Each parsed value is the one std::stod gives for the same text.
+TEST(LogAnalyticsTest, ParseHandlesValuesBeyondTheGeneratorGrammar) {
+  using Row = std::tuple<std::string, std::string, double>;
+  const std::vector<Row> rows = ParseLines({
+      "\t TENANT NAME=T9 JOB RUNNING TIME=1234.5 CPU UTIL=12.75 "
+      "MEMORY UTIL=1E1 \t",
+      "tenant name=t3 cpu util=99.9999999999999999 memory util=0.1",
+      "memory util=5 tenant name=t4",
+      "tenant name=t5 job running time=7e2x cpu util=-4",
+      "tenant name= cpu util=5",
+      "tenant name=t6 cpu util= memory util=.5",
+      "tenant name=t\xc3\x84 cpu util=0050\tjunk",
+      "tenant name=t7 memory util=3.0e+1",
+  });
+  const std::vector<Row> want = {
+      {"t9", "job_ms", 1234.5 * 0.01}, {"t9", "cpu", 12.75},
+      {"t9", "mem", 10.0},             {"t3", "cpu", 99.9999999999999999},
+      {"t3", "mem", 0.1},              {"t4", "mem", 5.0},
+      {"t5", "job_ms", 700.0 * 0.01},  {"t5", "cpu", -4.0},
+      {"t6", "mem", 0.5},              {"t\xc3\x84", "cpu", 50.0},
+      {"t7", "mem", 30.0},
+  };
+  EXPECT_EQ(rows, want);
+}
+
+// The normalize map lowercases exactly as std::tolower does in the "C"
+// locale, for every byte value.
+TEST(LogAnalyticsTest, NormalizeLowercasesLikeStdTolower) {
+  std::string line = "x";
+  for (int c = 0; c < 256; ++c) line.push_back(static_cast<char>(c));
+  line.push_back('x');
+  std::string want = line;
+  std::transform(want.begin(), want.end(), want.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  auto pipe = LogAnalyticsSpPipeline();
+  stream::RecordBatch batch(1);
+  batch[0].fields.emplace_back(line);
+  ASSERT_EQ(pipe->op(1).name(), "normalize");
+  ASSERT_TRUE(pipe->op(1).Process(&batch).ok());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].str(0), want);
 }
 
 TEST(CostProfilesTest, PaperOperatingPoints) {
