@@ -414,6 +414,45 @@ TEST(LogAnalyticsTest, ParseHandlesValuesBeyondTheGeneratorGrammar) {
   EXPECT_EQ(rows, want);
 }
 
+// A stat value that is not a number, or is out of double's range, drops
+// only that stat, as an empty value does: the line's other stats still go
+// out and the pipeline keeps running.
+TEST(LogAnalyticsTest, MalformedStatValueDropsOnlyThatStat) {
+  const std::vector<std::string> lines = {
+      "tenant name=t1 cpu util=abc memory util=5",
+      "tenant name=t2 cpu util=1e999 job running time=2500",
+      "tenant name=t3 memory util=-1e-999 cpu util=42",
+      "tenant name=t4 job running time=x1 cpu util=- memory util=.",
+  };
+  using Row = std::tuple<std::string, std::string, double>;
+  const std::vector<Row> want = {
+      {"t1", "mem", 5.0}, {"t2", "job_ms", 25.0}, {"t3", "cpu", 42.0}};
+  EXPECT_EQ(ParseLines(lines), want);
+
+  auto pipe = LogAnalyticsSpPipeline();
+  stream::RecordBatch batch;
+  for (const std::string& line : lines) {
+    batch.emplace_back(Seconds(1),
+                       std::vector<stream::Value>{stream::Value(line)});
+  }
+  stream::RecordBatch results;
+  Status pushed = Status::OK();
+  EXPECT_NO_THROW(pushed = pipe->PushBatch(std::move(batch), &results));
+  EXPECT_TRUE(pushed.ok()) << pushed.ToString();
+  ASSERT_TRUE(pipe->OnWatermark(Seconds(10), &results).ok());
+  // One closed window: (tenant, stat_name, bucket, count) per good stat.
+  std::vector<std::tuple<std::string, std::string, double, int64_t>> groups;
+  for (const stream::Record& r : results) {
+    groups.emplace_back(r.str(0), r.str(1), r.f64(2), r.i64(3));
+  }
+  std::sort(groups.begin(), groups.end());
+  const std::vector<std::tuple<std::string, std::string, double, int64_t>>
+      want_groups = {{"t1", "mem", 0.0, 1},
+                     {"t2", "job_ms", 2.0, 1},
+                     {"t3", "cpu", 4.0, 1}};
+  EXPECT_EQ(groups, want_groups);
+}
+
 // The normalize map lowercases exactly as std::tolower does in the "C"
 // locale, for every byte value.
 TEST(LogAnalyticsTest, NormalizeLowercasesLikeStdTolower) {
