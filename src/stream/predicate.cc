@@ -133,19 +133,4 @@ bool EvalPredicate(const TypedPredicate& pred, const Record& rec) {
   return false;
 }
 
-std::string PredicateToString(const TypedPredicate& pred) {
-  if (pred.node == TypedPredicate::Node::kLeaf) {
-    return "#" + std::to_string(pred.field) +
-           std::string(CmpOpToString(pred.cmp)) + ValueToString(pred.constant);
-  }
-  const char* sep = pred.node == TypedPredicate::Node::kAnd ? "&&" : "||";
-  std::string out = "(";
-  for (size_t i = 0; i < pred.children.size(); ++i) {
-    if (i) out += sep;
-    out += PredicateToString(pred.children[i]);
-  }
-  out += ")";
-  return out;
-}
-
 }  // namespace jarvis::stream

@@ -56,9 +56,6 @@ Status ValidatePredicate(const TypedPredicate& pred, const Schema& schema);
 /// paths).
 bool EvalPredicate(const TypedPredicate& pred, const Record& rec);
 
-/// Debug rendering, e.g. "(#0==7&&#2<30)".
-std::string PredicateToString(const TypedPredicate& pred);
-
 }  // namespace jarvis::stream
 
 #endif  // JARVIS_STREAM_PREDICATE_H_

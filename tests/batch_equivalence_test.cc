@@ -481,16 +481,31 @@ TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
     const RecordBatch input = RandomMixedKvBatch(rng, n, false, 0);
     // The function form wraps the same tree, so every row path of the two
     // operators must agree; this pins the typed ctor's fallback honesty.
-    auto typed = std::make_unique<FilterOp>("f", KvSchema(), pred);
-    auto fn = std::make_unique<FilterOp>(
-        "f", KvSchema(),
-        [&pred](const Record& r) { return EvalPredicate(pred, r); });
+    const auto make_typed = [&] {
+      return std::make_unique<FilterOp>("f", KvSchema(), pred);
+    };
+    const auto make_fn = [&] {
+      return std::make_unique<FilterOp>(
+          "f", KvSchema(),
+          [&pred](const Record& r) { return EvalPredicate(pred, r); });
+    };
+    auto typed = make_typed();
+    auto fn = make_fn();
     RecordBatch out_a = input, out_b = input;
     ASSERT_TRUE(typed->Process(&out_a).ok());
     ASSERT_TRUE(fn->Process(&out_b).ok());
     EXPECT_EQ(out_a, out_b);
     ExpectStatsEq(typed->stats(), fn->stats(), "typed vs function stats");
-    (void)chunk;
+    // Fed in `chunk`-sized pieces, each form compacts to the whole-batch run.
+    auto typed_chunked = make_typed();
+    auto fn_chunked = make_fn();
+    RecordBatch in_a = input, in_b = input;
+    EXPECT_EQ(RunOp(*typed_chunked, std::move(in_a), chunk), out_a)
+        << "typed, chunk size " << chunk;
+    EXPECT_EQ(RunOp(*fn_chunked, std::move(in_b), chunk), out_a)
+        << "function, chunk size " << chunk;
+    ExpectStatsEq(typed_chunked->stats(), typed->stats(), "typed chunked");
+    ExpectStatsEq(fn_chunked->stats(), typed->stats(), "function chunked");
   }
 }
 
