@@ -128,9 +128,10 @@ Result<query::LogicalPlan> MakeLogAnalyticsQuery() {
                                       {"cpu util=", "cpu", 1.0},
                                       {"memory util=", "mem", 1.0}};
     for (const Stat& st : kStats) {
-      // The value's leading decimal number, as std::stod reads it. A value
-      // that is empty, not a number, or out of double's range drops this
-      // stat only; the line's other stats still go out.
+      // The value's leading number as std::from_chars reads it (no leading
+      // '+', whitespace or hex). A value that is empty, not a number, or out
+      // of double's range drops this stat only; the line's other stats
+      // still go out.
       const std::string_view raw = value_after(st.key);
       double stat = 0;
       if (std::from_chars(raw.data(), raw.data() + raw.size(), stat).ec !=

@@ -423,10 +423,14 @@ TEST(LogAnalyticsTest, MalformedStatValueDropsOnlyThatStat) {
       "tenant name=t2 cpu util=1e999 job running time=2500",
       "tenant name=t3 memory util=-1e-999 cpu util=42",
       "tenant name=t4 job running time=x1 cpu util=- memory util=.",
+      // std::from_chars takes no leading '+' and no hex prefix.
+      "tenant name=t5 cpu util=+5 memory util=0x10",
   };
   using Row = std::tuple<std::string, std::string, double>;
-  const std::vector<Row> want = {
-      {"t1", "mem", 5.0}, {"t2", "job_ms", 25.0}, {"t3", "cpu", 42.0}};
+  const std::vector<Row> want = {{"t1", "mem", 5.0},
+                                 {"t2", "job_ms", 25.0},
+                                 {"t3", "cpu", 42.0},
+                                 {"t5", "mem", 0.0}};
   EXPECT_EQ(ParseLines(lines), want);
 
   auto pipe = LogAnalyticsSpPipeline();
@@ -449,7 +453,8 @@ TEST(LogAnalyticsTest, MalformedStatValueDropsOnlyThatStat) {
   const std::vector<std::tuple<std::string, std::string, double, int64_t>>
       want_groups = {{"t1", "mem", 0.0, 1},
                      {"t2", "job_ms", 2.0, 1},
-                     {"t3", "cpu", 4.0, 1}};
+                     {"t3", "cpu", 4.0, 1},
+                     {"t5", "mem", 0.0, 1}};
   EXPECT_EQ(groups, want_groups);
 }
 
